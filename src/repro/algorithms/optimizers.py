@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from repro.utils.rngtools import ensure_rng
 
@@ -52,6 +51,9 @@ def scipy_minimize(
         value = float(fn(np.asarray(x, dtype=float)))
         history.append(value)
         return value
+
+    # Imported on use: scipy would nearly double the resident size of `import repro`.
+    from scipy import optimize as sciopt
 
     result = sciopt.minimize(wrapped, np.asarray(x0, dtype=float), method=method, options={"maxiter": maxiter})
     return OptimizerResult(np.asarray(result.x, dtype=float), float(result.fun), evals, history)

@@ -15,6 +15,7 @@ embed -> sample -> unembed pipeline into a single call.
 from repro.annealing.chimera import chimera_graph
 from repro.annealing.device import AnnealerDevice
 from repro.annealing.embedding import embed_qubo, find_embedding, unembed_sampleset
+from repro.annealing.quench import greedy_quench
 from repro.annealing.schedule import geometric_beta_schedule, linear_schedule
 from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
 from repro.annealing.sqa import SimulatedQuantumAnnealingSolver
@@ -25,6 +26,7 @@ __all__ = [
     "embed_qubo",
     "find_embedding",
     "unembed_sampleset",
+    "greedy_quench",
     "geometric_beta_schedule",
     "linear_schedule",
     "SimulatedAnnealingSolver",

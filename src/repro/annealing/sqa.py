@@ -18,34 +18,13 @@ import math
 
 import numpy as np
 
+from repro.annealing.quench import greedy_quench
 from repro.annealing.schedule import linear_schedule
-from repro.exceptions import ReproError
+from repro.exceptions import require_count
 from repro.qubo.ising import qubo_to_ising
 from repro.qubo.model import QuboModel
 from repro.qubo.sampleset import SampleSet
 from repro.utils.rngtools import ensure_rng
-
-
-def _greedy_quench(model: QuboModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest-descent single-flip quench of each row to a local minimum.
-
-    The physical annealer's final read-out happens deep in the classical
-    regime; this quench plays that role after the Trotter dynamics stop.
-    """
-    a, S = model.symmetric_couplings()
-    rows = np.array(rows, dtype=int)
-    for r in range(rows.shape[0]):
-        x = rows[r]
-        fields = S @ x
-        while True:
-            deltas = (1 - 2 * x) * (a + fields)
-            i = int(np.argmin(deltas))
-            if deltas[i] >= -1e-12:
-                break
-            sign = 1 - 2 * x[i]
-            x[i] ^= 1
-            fields += S[:, i] * sign
-    return rows, model.energies(rows)
 
 
 class SimulatedQuantumAnnealingSolver:
@@ -68,11 +47,9 @@ class SimulatedQuantumAnnealingSolver:
         beta: float = 2.0,
         gamma_schedule: "np.ndarray | None" = None,
     ):
-        if num_slices < 2:
-            raise ReproError("SQA needs at least 2 Trotter slices")
-        self.num_reads = num_reads
-        self.num_sweeps = num_sweeps
-        self.num_slices = num_slices
+        self.num_reads = require_count("num_reads", num_reads)
+        self.num_sweeps = require_count("num_sweeps", num_sweeps)
+        self.num_slices = require_count("num_slices", num_slices, minimum=2)
         self.beta = beta
         self.gamma_schedule = gamma_schedule
 
@@ -132,10 +109,10 @@ class SimulatedQuantumAnnealingSolver:
         per_read = energies.reshape(R, P)
         best_slice = per_read.argmin(axis=1)
         rows = X.reshape(R, P, n)[np.arange(R), best_slice]
-        rows, best_energies = _greedy_quench(model, rows)
+        rows = greedy_quench(model, rows)
         return SampleSet.from_arrays(
             rows,
-            best_energies,
+            model.energies(rows),
             info={
                 "solver": "simulated_quantum_annealing",
                 "reads": R,

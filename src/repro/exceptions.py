@@ -7,6 +7,8 @@ still being able to distinguish individual failure modes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -51,3 +53,12 @@ class ProtocolError(ReproError):
     Examples: teleporting over a link with no entangled pair available, or
     committing a distributed transaction that was never prepared.
     """
+
+
+def require_count(name: str, value, minimum: int = 1) -> int:
+    """Return ``value`` as an int, or raise :class:`ReproError` unless it is
+    an integer (not a bool) of at least ``minimum``; samplers check their
+    read, sweep and restart counts with it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ReproError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.integration.qubo import MatchKey
 from repro.integration.schema import Schema
@@ -29,6 +28,9 @@ def hungarian_matching(
     size = max(len(rows), len(cols)) + len(rows)
     padded = np.zeros((size, size))
     padded[: len(rows), : len(cols)] = np.where(sim >= threshold, sim, 0.0)
+    # Imported on use: scipy would nearly double the resident size of `import repro`.
+    from scipy.optimize import linear_sum_assignment
+
     r_idx, c_idx = linear_sum_assignment(-padded)
     result: dict[str, str] = {}
     for i, j in zip(r_idx, c_idx):

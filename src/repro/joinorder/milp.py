@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.db.query import JoinGraph
 from repro.exceptions import InfeasibleError, ReproError
@@ -91,6 +90,9 @@ def _lp_relaxation(bilp: Bilp, fixed: dict[int, int]):
             bounds.append((fixed[i], fixed[i]))
         else:
             bounds.append((0.0, 1.0))
+    # Imported on use: scipy would nearly double the resident size of `import repro`.
+    from scipy.optimize import linprog
+
     return linprog(
         c,
         A_eq=a_eq if len(bilp.equalities) else None,

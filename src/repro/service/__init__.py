@@ -26,7 +26,7 @@ from repro.service.admission import (
     AdmissionShed,
     TenantBudget,
 )
-from repro.service.app import SolverService
+from repro.service.app import ServiceDraining, SolverService
 from repro.service.coalesce import CoalescingQueue, QueueClosed, QueueFull
 from repro.service.config import ServiceConfig, load_config
 from repro.service.http import ServiceServer
@@ -36,6 +36,7 @@ from repro.service.problems import list_kinds, problem_from_spec
 
 __all__ = [
     "SolverService",
+    "ServiceDraining",
     "AdmissionPolicy",
     "AdmissionDecision",
     "AdmissionShed",

@@ -44,7 +44,7 @@ from repro.service.admission import (
     AdmissionShed,
     TenantBudget,
 )
-from repro.service.coalesce import CoalescingQueue
+from repro.service.coalesce import CoalescingQueue, QueueClosed
 from repro.service.config import ServiceConfig
 from repro.service.jobs import STATES, Job, JobBook
 from repro.service.metrics import (
@@ -57,6 +57,11 @@ from repro.service.problems import problem_from_spec
 #: Engine seed ceiling (repro.engine.plan._SEED_RANGE): request seeds must
 #: be valid explicit child seeds.
 MAX_SEED = 2**63 - 1
+
+
+class ServiceDraining(QueueClosed):
+    """Raised by :meth:`SolverService.submit` when the service is not
+    accepting work (before start, while draining, after stop): HTTP 503."""
 
 
 class SolverService:
@@ -353,16 +358,16 @@ class SolverService:
         Raises :class:`~repro.exceptions.ReproError` subclasses the HTTP
         layer maps to 400 (bad spec/seed/tenant/priority), 429 with
         ``Retry-After`` (:class:`~repro.service.admission.AdmissionShed`),
-        or 503 (draining).  Rejections of every kind happen **before a Job
-        exists** — a sustained 429 flood must not churn the job book's
-        retention and evict real history.  On success the job is pending
-        (possibly with a degraded backend fleet, recorded on
+        or 503 (:class:`ServiceDraining`).  Rejections of every kind happen
+        **before a Job exists** — a sustained 429 flood must not churn the
+        job book's retention and evict real history.  On success the job is
+        pending (possibly with a degraded backend fleet, recorded on
         ``job.admission``) and its ``future`` resolves when the wave
         carrying it completes.
         """
         if not self._accepting:
             self._m["rejected"].inc(reason="draining")
-            raise ReproError("service is draining; not accepting new work")
+            raise ServiceDraining("service is draining; not accepting new work")
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
             self._m["rejected"].inc(reason="bad_seed")
             raise ReproError(f"seed must be an integer in [0, {MAX_SEED}), got {seed!r}")

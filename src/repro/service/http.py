@@ -237,8 +237,7 @@ class ServiceServer:
         except QueueClosed as exc:
             raise HttpError(503, str(exc)) from exc
         except ReproError as exc:
-            status = 503 if "draining" in str(exc) else 400
-            raise HttpError(status, str(exc)) from exc
+            raise HttpError(400, str(exc)) from exc
         if wait:
             await asyncio.shield(job.future)
             return 200, job.as_json_dict(), "application/json"

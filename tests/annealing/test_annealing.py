@@ -121,3 +121,53 @@ class TestSQA:
         a = SimulatedQuantumAnnealingSolver(num_reads=4, num_sweeps=40).solve(m, rng=8)
         b = SimulatedQuantumAnnealingSolver(num_reads=4, num_sweeps=40).solve(m, rng=8)
         assert a.best.bits == b.best.bits
+
+
+class TestSamplerSizes:
+    """Bad read/sweep/restart counts are a ReproError at construction,
+    not an IndexError from an empty sample set or a numpy ValueError."""
+
+    @pytest.mark.parametrize(
+        "backend, options",
+        [
+            ("sa", {"num_reads": 0}),
+            ("sa", {"num_reads": -3}),
+            ("sa", {"num_sweeps": 0}),
+            ("sa", {"num_reads": 2.5}),
+            ("sqa", {"num_reads": 0}),
+            ("sqa", {"num_sweeps": -1}),
+            ("tabu", {"num_restarts": 0}),
+            ("tabu", {"max_iterations": -1}),
+            ("tabu", {"tenure": -2}),
+        ],
+    )
+    def test_facade_rejects_bad_sizes(self, backend, options):
+        from repro.api import MQOAdapter
+        from repro.api.facade import solve
+        from repro.mqo import generate_mqo_problem
+
+        problem = MQOAdapter(generate_mqo_problem(3, 2, rng=1))
+        with pytest.raises(ReproError, match=next(iter(options))):
+            solve(problem, backend=backend, seed=1, **options)
+
+    def test_constructors_reject_bad_sizes(self):
+        from repro.qubo.tabu import TabuSolver
+
+        for make in (
+            lambda: SimulatedAnnealingSolver(num_reads=0),
+            lambda: SimulatedAnnealingSolver(num_reads=True),
+            lambda: SimulatedAnnealingSolver(beta_schedule=[]),
+            lambda: SimulatedAnnealingSolver(beta_schedule=[0.1, np.inf]),
+            lambda: SimulatedQuantumAnnealingSolver(num_reads=-3),
+            lambda: TabuSolver(num_restarts=0),
+        ):
+            with pytest.raises(ReproError):
+                make()
+
+    def test_smallest_sizes_still_solve(self):
+        from repro.qubo.tabu import TabuSolver
+
+        m = _random_model(3, n=5)
+        assert len(SimulatedAnnealingSolver(num_reads=1, num_sweeps=1).solve(m, rng=0)) == 1
+        assert len(SimulatedQuantumAnnealingSolver(num_reads=1, num_sweeps=1).solve(m, rng=0)) == 1
+        assert len(TabuSolver(num_restarts=1, max_iterations=0).solve(m, rng=0)) == 1

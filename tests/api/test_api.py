@@ -26,6 +26,23 @@ from repro.qubo.model import QuboModel
 from repro.txn import generate_transactions
 
 
+def test_import_does_not_load_scipy():
+    """scipy is imported where a baseline or optimizer needs it, not by
+    ``import repro``: it nearly doubles a fresh process's resident memory."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = "import sys, repro; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+    src = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         for name in ("bruteforce", "tabu", "sa", "sqa", "annealer", "qaoa", "vqe", "classical"):

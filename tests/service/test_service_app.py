@@ -15,7 +15,7 @@ import pytest
 
 from repro.api.facade import solve
 from repro.exceptions import ReproError
-from repro.service import ServiceConfig, SolverService, problem_from_spec
+from repro.service import ServiceConfig, ServiceDraining, SolverService, problem_from_spec
 
 MQO_SPEC = {
     "kind": "mqo",
@@ -132,7 +132,7 @@ def test_graceful_shutdown_drains_accepted_jobs():
         await service.shutdown()  # must release and finish all three
         assert all(job.status == "done" for job in jobs)
         assert service.stopped
-        with pytest.raises(ReproError):
+        with pytest.raises(ServiceDraining):
             service.submit(MQO_SPEC, seed=0)
         return service
 

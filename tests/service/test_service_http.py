@@ -322,6 +322,32 @@ def test_tenant_and_priority_round_trip_over_the_wire():
     _run_with_server(handler)
 
 
+def test_draining_is_a_503_by_error_type_not_by_message_text():
+    """A 503 means the service is draining.  The word "draining" in a
+    client's own input is still that client's 400."""
+
+    async def handler(server):
+        for bad in (
+            {"priority": "draining"},
+            {"problem": {"kind": "qubo", "linear": {"x0": "draining"}}},
+        ):
+            raw = await _raw_request(
+                server.bound_port, _build_post("/v1/solve", {"problem": SPEC, "seed": 3, **bad})
+            )
+            status, _, body = _parse_response(raw)
+            assert status == 400
+            assert "draining" in body
+        await server.service.shutdown()
+        raw = await _raw_request(
+            server.bound_port, _build_post("/v1/solve", {"problem": SPEC, "seed": 3})
+        )
+        status, _, body = _parse_response(raw)
+        assert status == 503
+        assert "draining" in body
+
+    _run_with_server(handler)
+
+
 def test_sigterm_drains_and_exits_zero(server):
     proc, base = server
     proc.send_signal(signal.SIGTERM)
