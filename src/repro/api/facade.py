@@ -22,18 +22,15 @@ racing or fixing one backend.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.api.adapters import as_problem, as_problems
+from repro.api.adapters import as_problem
 from repro.api.backends import Backend, get_backend
 from repro.api.problem import Problem
 from repro.api.result import SolveResult
-from repro.engine.runner import run_portfolio, solve_batch, solve_single
-from repro.engine.scheduler import (
-    AdaptiveScheduler,
-    run_portfolio_scheduled,
-    solve_batch_scheduled,
-)
+from repro.engine.runner import run_portfolio, solve_batch
+from repro.engine.scheduler import AdaptiveScheduler
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 
@@ -71,7 +68,12 @@ def solve(
             that :func:`~repro.api.adapters.as_problem` can wrap.
         backend: Registry name (see :func:`~repro.api.backends.list_backends`)
             or a ready :class:`Backend` instance.
-        seed: Int seed, ``numpy`` Generator, or ``None`` for fresh entropy.
+        seed: Int seed in ``[0, 2**63 - 1)``, ``numpy`` Generator, or
+            ``None`` for fresh entropy.  The call is a one-item
+            :func:`~repro.engine.runner.solve_batch`: an int seed is the
+            item's own child seed, so result and cache key are those of a
+            shard leader with that seed; a Generator (or ``None``) gives
+            one child seed, drawn as :func:`solve_many` draws them.
             Identical seeds yield identical results when the backend is
             selected by name (a fresh instance per call); a reused
             stateful ``Backend`` instance deliberately carries its
@@ -127,17 +129,20 @@ def solve(
                     cache=cache,
                     store=store,
                 )
-        return solve_single(
-            coerced,
-            resolved,
-            backend_name,
-            backend_opts,
-            seed,
-            refine,
-            top_k,
-            cache=cache,
-            store=store,
-        )
+        if isinstance(seed, Integral):
+            batch = solve_batch(
+                [coerced], backend, seeds=[seed], refine=refine, top_k=top_k,
+                cache=cache, backend_opts=backend_opts, store=store,
+            )
+        else:
+            # A drawn child seed cannot be content-addressed from the
+            # caller's seed, so the call runs on the resolved instance: an
+            # instance-backed plan reads and writes no cache entry.
+            batch = solve_batch(
+                [coerced], resolved, seed=seed, refine=refine, top_k=top_k,
+                cache=cache, store=store,
+            )
+        return batch[0]
 
 
 def solve_portfolio(
@@ -187,18 +192,6 @@ def solve_portfolio(
         contenders=len(backends),
         scheduled=scheduler is not None,
     ):
-        if scheduler is not None:
-            return run_portfolio_scheduled(
-                as_problem(problem),
-                backends,
-                scheduler,
-                seed=seed,
-                refine=refine,
-                top_k=top_k,
-                backend_opts=backend_opts,
-                deadline_s=deadline_s,
-                store=store,
-            )
         return run_portfolio(
             as_problem(problem),
             backends,
@@ -208,6 +201,7 @@ def solve_portfolio(
             backend_opts=backend_opts,
             deadline_s=deadline_s,
             store=store,
+            scheduler=scheduler,
         )
 
 
@@ -299,28 +293,6 @@ def solve_many(
     with obs.span(
         "facade.solve_many", executor=executor_label, scheduled=scheduler is not None
     ):
-        if scheduler is not None:
-            candidates = [backend] if isinstance(backend, (str, Backend)) else list(backend)
-            return solve_batch_scheduled(
-                as_problems(problems),
-                candidates,
-                scheduler,
-                seed=seed,
-                refine=refine,
-                top_k=top_k,
-                executor=executor,
-                cache=cache,
-                max_shard_size=max_shard_size,
-                backend_opts=backend_opts,
-                store=store,
-                seeds=seeds,
-                labels=labels,
-            )
-        if not isinstance(backend, (str, Backend)):
-            raise ReproError(
-                "a sequence of candidate backends requires scheduler=; pass an "
-                "AdaptiveScheduler or select one backend"
-            )
         return solve_batch(
             problems,
             backend,
@@ -334,4 +306,5 @@ def solve_many(
             store=store,
             seeds=seeds,
             labels=labels,
+            scheduler=scheduler,
         )

@@ -46,11 +46,11 @@ from repro.engine.plan import ExecutionPlan, PlanItem, compile_plan, signature_k
 from repro.engine.runner import (
     execute_plan,
     execute_plans,
+    record_telemetry,
     run_portfolio,
     solve_batch,
     solve_one,
     solve_one_async,
-    solve_single,
 )
 from repro.engine.scheduler import (
     AdaptiveScheduler,
@@ -58,8 +58,6 @@ from repro.engine.scheduler import (
     BackendStats,
     RoutingDecision,
     expected_service_time,
-    run_portfolio_scheduled,
-    solve_batch_scheduled,
 )
 from repro.engine.store import (
     EngineStore,
@@ -91,18 +89,16 @@ __all__ = [
     "signature_key",
     "execute_plan",
     "execute_plans",
+    "record_telemetry",
     "solve_batch",
     "solve_one",
     "solve_one_async",
-    "solve_single",
     "run_portfolio",
     "AdaptiveScheduler",
     "BackendScoreboard",
     "BackendStats",
     "RoutingDecision",
     "expected_service_time",
-    "solve_batch_scheduled",
-    "run_portfolio_scheduled",
     "EngineStore",
     "ScoreboardStore",
     "SharedCacheTier",

@@ -280,22 +280,3 @@ def _assign_cache_keys(plan: ExecutionPlan) -> None:
             history.update(item.fingerprint.encode("ascii"))
             history.update(str(item.seed).encode("ascii"))
 
-
-def single_solve_cache_key(
-    fingerprint: str,
-    backend_name: str,
-    backend_opts: dict,
-    refine: bool,
-    top_k: int,
-    seed: int,
-) -> str:
-    """Cache key for a standalone ``solve`` call with an integer seed.
-
-    Uses an *empty* shard history, making it interchangeable with the
-    shard-leader key of a batch item that has the same fingerprint, backend,
-    opts, and effective seed — both run a fresh backend instance on a fresh
-    RNG, so their results coincide.
-    """
-    opts_key = _opts_key(dict(backend_opts), refine, top_k)
-    empty_history = hashlib.sha256().hexdigest()
-    return make_cache_key(fingerprint, backend_name, opts_key + "|" + empty_history, seed)

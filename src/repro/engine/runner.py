@@ -5,10 +5,15 @@ This module owns the code that actually runs a compiled
 
 * :func:`solve_one` — the Problem -> QUBO -> Backend -> SolveResult kernel
   (moved here from the facade so every executor shares one definition);
-* :func:`execute_plan` — cache lookup, shard dispatch through a pluggable
+* :func:`execute_plans` — cache lookup, shard dispatch through a pluggable
   executor, cache fill, and per-result engine metadata;
+* :func:`solve_batch` — compile, optionally route each shard through an
+  :class:`~repro.engine.scheduler.AdaptiveScheduler`, and execute: the one
+  batch entry point behind ``solve``, ``solve_many`` and the service;
 * :func:`run_portfolio` — several backends on one instance, optionally
-  raced under a wall-clock deadline.
+  raced under a wall-clock deadline or narrowed by a scheduler;
+* :func:`record_telemetry` — the one sink recording every result, live
+  and durably.
 
 Cache semantics are **shard-atomic**: a shard's items are served from the
 cache only when *every* item hits.  Item *k* of a shard is solved on
@@ -25,13 +30,15 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING
+from dataclasses import replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, compile_plan, single_solve_cache_key
+from repro.engine.plan import ExecutionPlan, _assign_cache_keys, compile_plan, signature_key
+from repro.engine.scheduler import _candidate_names
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
 from repro.utils.rngtools import ensure_rng, spawn
@@ -40,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
     from repro.api.problem import Problem
     from repro.api.result import SolveResult
+    from repro.engine.scheduler import AdaptiveScheduler
 
 
 def _direct_result(problem, backend, rng, refine: bool, start: float, model,
@@ -190,24 +198,7 @@ def _shard_payload(plan: ExecutionPlan, shard_items, executor_name: str) -> dict
     }
 
 
-def _engine_info(payload: dict, pos: int, seed: int, fingerprint: str) -> dict:
-    info = {
-        "shard": payload["shard"],
-        "shard_pos": pos,
-        "shard_size": payload["shard_size"],
-        "signature": payload.get("signature"),
-        "executor": payload["executor"],
-        "seed": seed,
-        "fingerprint": fingerprint[:16],
-        "cache_hit": False,
-    }
-    labels = payload.get("labels") or []
-    if pos < len(labels) and labels[pos] is not None:
-        info["label"] = labels[pos]
-    return info
-
-
-def _stamp_engine_info(result, payload: dict, pos: int, seed: int, fingerprint: str) -> None:
+def _stamp_engine_info(result, payload: dict, pos: int) -> None:
     """Attach ``info["engine"]`` including the wall-time split.
 
     ``formulate_time``/``solve_time`` come from the kernel's
@@ -215,11 +206,22 @@ def _stamp_engine_info(result, payload: dict, pos: int, seed: int, fingerprint: 
     is stamped by :func:`execute_plans` once the dispatch returns — workers
     never see the cache.
     """
-    engine = _engine_info(payload, pos, seed, fingerprint)
     timings = result.info.get("timings") or {}
-    engine["formulate_time"] = timings.get("formulate_time", 0.0)
-    engine["solve_time"] = timings.get("solve_time", 0.0)
-    engine["cache_time"] = 0.0
+    engine = {
+        "shard": payload["shard"],
+        "shard_pos": pos,
+        "shard_size": payload["shard_size"],
+        "signature": payload.get("signature"),
+        "executor": payload["executor"],
+        "seed": payload["seeds"][pos],
+        "fingerprint": payload["fingerprints"][pos][:16],
+        "cache_hit": False,
+        "formulate_time": timings.get("formulate_time", 0.0),
+        "solve_time": timings.get("solve_time", 0.0),
+        "cache_time": 0.0,
+    }
+    if payload["labels"][pos] is not None:
+        engine["label"] = payload["labels"][pos]
     result.info["engine"] = engine
 
 
@@ -296,7 +298,7 @@ def _run_shard_items(backend, payload: dict) -> dict:
             problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"]
         )
         _end_solve_span(tracer, solve_span, result)
-        _stamp_engine_info(result, payload, pos, seed, fp)
+        _stamp_engine_info(result, payload, pos)
         out.append((index, result))
     if tracer is not None:
         tracer.end(shard_span)
@@ -329,7 +331,7 @@ async def _execute_shard_async(payload: dict, backend, offload) -> dict:
             offload=offload,
         )
         _end_solve_span(tracer, solve_span, result)
-        _stamp_engine_info(result, payload, pos, seed, fp)
+        _stamp_engine_info(result, payload, pos)
         out.append((index, result))
     if tracer is not None:
         tracer.end(shard_span)
@@ -411,25 +413,11 @@ def execute_plans(
                             hit=hit, tier=_shard_tier(tiers) if hit else None
                         )
                 if cached is not None:
-                    signatures = plan.meta.get("shard_signatures") or []
+                    payload = _shard_payload(plan, shard_items, runner.name)
                     for pos, (item, result) in enumerate(zip(shard_items, cached)):
-                        timings = result.info.get("timings") or {}
-                        engine_info = result.info.setdefault("engine", {})
-                        if item.label is not None:
-                            engine_info["label"] = item.label
-                        engine_info.update(
-                            shard=item.shard,
-                            shard_pos=pos,
-                            shard_size=len(shard_items),
-                            signature=signatures[item.shard] if item.shard < len(signatures) else None,
-                            executor=runner.name,
-                            seed=item.seed,
-                            fingerprint=item.fingerprint[:16],
-                            cache_hit=True,
-                            cache_tier=tiers[pos],
-                            formulate_time=timings.get("formulate_time", 0.0),
-                            solve_time=timings.get("solve_time", 0.0),
-                            cache_time=probe_s,
+                        _stamp_engine_info(result, payload, pos)
+                        result.info["engine"].update(
+                            cache_hit=True, cache_tier=tiers[pos], cache_time=probe_s
                         )
                         if cache_span.span_id is not None:
                             result.info["trace"] = {
@@ -475,7 +463,7 @@ def execute_plan(
 
 def solve_batch(
     problems,
-    backend: "str | Backend" = "sa",
+    backend: "str | Backend | Sequence[str]" = "sa",
     seed: "int | None" = None,
     refine: bool = True,
     top_k: int = 8,
@@ -486,8 +474,13 @@ def solve_batch(
     store=None,
     seeds=None,
     labels=None,
+    scheduler: "AdaptiveScheduler | None" = None,
 ) -> list[SolveResult]:
-    """Compile + execute in one call (the engine behind ``repro.solve_many``).
+    """Compile, route and execute a batch: the one engine path.
+
+    ``repro.solve`` (a one-item batch), ``repro.solve_many`` and every
+    service wave run here; the batch is compiled once and its shards run
+    as one :func:`execute_plans` wave.
 
     With a durable ``store`` (a path, an
     :class:`~repro.engine.store.EngineStore`, or ``None`` + ``REPRO_STORE``),
@@ -496,6 +489,20 @@ def solve_batch(
     boundary — so even unscheduled batches feed the routing knowledge a
     later :class:`~repro.engine.scheduler.AdaptiveScheduler` hydrates.
 
+    With a ``scheduler``, ``backend`` may be a sequence of registry names
+    and ``backend_opts`` is portfolio-style (per-backend factory options
+    keyed by name).  Every shard is routed up front via
+    :meth:`~repro.engine.scheduler.AdaptiveScheduler.choose` and each
+    chosen backend's shards run as a sub-plan of the same wave; item seeds
+    are the compiled ones regardless of routing, so two runs with equal
+    scheduler state solve every item identically on any executor.  When
+    every shard routes to the first candidate, the compiled plan runs
+    unchanged.  Results carry ``info["engine"]["scheduler"]``, the routed
+    structures are prefetched from the store's shared tier, and the batch
+    is observed on the scheduler's scoreboard and flushed to its store at
+    the batch boundary — or kept out of the durable log with an explicit
+    ``store=False``.
+
     ``seeds`` passes explicit per-item child seeds to the planner (see
     :func:`~repro.engine.plan.compile_plan`); ``seed`` is ignored when set.
     ``labels`` tags items for telemetry (``info["engine"]["label"]``)
@@ -503,7 +510,22 @@ def solve_batch(
     """
     from repro.engine.store import resolve_store, store_bound_cache
 
+    durable = store is not False
     store = resolve_store(store)
+    scoreboard = None
+    if scheduler is None:
+        if isinstance(backend, (list, tuple)):
+            raise ReproError(
+                "a sequence of candidate backends requires scheduler=; pass an "
+                "AdaptiveScheduler or select one backend"
+            )
+    else:
+        scoreboard = scheduler.scoreboard
+        if store is not None:
+            scoreboard.bind_store(store)
+        names = _candidate_names(list(backend) if isinstance(backend, (list, tuple)) else [backend])
+        opts_map = _opts_map(backend_opts, names)
+        backend, backend_opts = names[0], opts_map.get(names[0])
     with obs.span("engine.plan_compile") as plan_span:
         plan = compile_plan(
             problems,
@@ -518,117 +540,143 @@ def solve_batch(
         )
         plan_span.set(items=len(plan.items), shards=plan.num_shards)
     with store_bound_cache(cache, store) as bound:
-        results = execute_plan(plan, executor=executor, cache=bound)
-    if store is not None:
-        from repro.engine.store import record_best_effort
-
-        record_best_effort(
-            lambda: store.scoreboard.record_results(results), "batch telemetry record"
-        )
+        runs = [(plan, None)]
+        if scheduler is not None:
+            runs = _route(plan, scheduler, names, opts_map, bound)
+        waves = execute_plans([run for run, _ in runs], executor=executor, cache=bound)
+    results: list = [None] * len(plan.items)
+    for (_, placements), run_results in zip(runs, waves):
+        for local, result in enumerate(run_results):
+            index, stamp = placements[local] if placements else (local, {})
+            result.info["engine"].update(stamp)
+            results[index] = result
+    record_telemetry(results, store, durable, scoreboard)
     return results
 
 
-def solve_single(
-    problem: Problem,
-    backend: Backend,
-    backend_name: "str | None",
-    backend_opts: dict,
-    seed,
-    refine: bool,
-    top_k: int,
-    cache: "ResultCache | bool | str | None" = None,
-    store=None,
-) -> SolveResult:
-    """One solve with optional caching (the engine behind ``repro.solve``).
+def _route(plan: ExecutionPlan, scheduler, names: list, opts_map: dict, bound):
+    """The routing step: pick a backend per shard, split the plan by backend.
 
-    Caching applies only when the backend was selected by name *and* the
-    seed is an integer — a live Generator's position cannot be content-
-    addressed, and an instance backend's caches make its output depend on
-    call history.  The key uses an empty shard history, so it is shared
-    with shard-leader batch items of the same fingerprint/opts/seed.
-
-    A durable ``store`` adds its shared cache tier under the cache and
-    records the solve's outcome into the durable scoreboard (keyed by the
-    problem's structure signature) so single solves feed routing knowledge
-    too.
+    Returns ``[(plan, placements)]`` in candidate order, where
+    ``placements[local]`` is a sub-plan item's batch index and the
+    ``info["engine"]`` stamp restoring its batch shard and routing record.
+    The shards' structures are prefetched from the store's shared tier into
+    ``bound``'s memory LRU before dispatch, so results a sibling process
+    already stored are served from memory.
     """
-    from repro.engine.store import resolve_store, store_bound_cache
+    signatures = plan.meta["shard_signatures"]
+    decisions = []
+    for shard_id, signature in enumerate(signatures):
+        with obs.span("scheduler.route", shard=shard_id, signature=signature) as route_span:
+            decision = scheduler.choose(signature, names)
+            route_span.set(backend=decision.backend, mode=decision.mode)
+        decisions.append(decision)
+    if bound is not None and bound.store is not None:
+        for signature in dict.fromkeys(signatures):
+            bound.prefetch(signature)
 
-    durable = resolve_store(store)
-    signature = None
-    if durable is not None:
-        from repro.api.problem import qubo_signature
-        from repro.engine.plan import signature_key
+    runs = []
+    for name in names:
+        shard_ids = [i for i, d in enumerate(decisions) if d.backend == name]
+        if not shard_ids:
+            continue
+        if len(shard_ids) == plan.num_shards and name == names[0]:
+            run, local_to_global = plan, [(i.index, i.shard) for i in plan.items]
+        else:
+            run, local_to_global = _subplan(plan, shard_ids, name, opts_map.get(name, {}))
+        runs.append((run, [
+            (index, {"shard": shard, "scheduler": {
+                "backend": name, "mode": decisions[shard].mode, "candidates": list(names),
+            }})
+            for index, shard in local_to_global
+        ]))
+    return runs
 
-        signature = signature_key(qubo_signature(problem.to_qubo()))
-    with store_bound_cache(cache, durable) as cache_store:
-        key = None
-        if (
-            cache_store is not None
-            and backend_name is not None
-            and isinstance(seed, (int, np.integer))
-        ):
-            key = single_solve_cache_key(
-                problem.to_qubo().fingerprint(), backend_name, backend_opts, refine,
-                top_k, int(seed),
-            )
-            with obs.span("cache.lookup", items=1) as cache_span:
-                probe_t0 = time.perf_counter()
-                hit, tier = cache_store.lookup(key)
-                probe_s = time.perf_counter() - probe_t0
-                cache_span.set(hit=hit is not None, tier=tier)
-            if hit is not None:
-                timings = hit.info.get("timings") or {}
-                hit.info.setdefault("engine", {}).update(
-                    cache_hit=True,
-                    cache_tier=tier,
-                    formulate_time=timings.get("formulate_time", 0.0),
-                    solve_time=timings.get("solve_time", 0.0),
-                    cache_time=probe_s,
-                )
-                if cache_span.span_id is not None:
-                    hit.info["trace"] = {
-                        "trace_id": cache_span.trace_id,
-                        "span_id": cache_span.span_id,
-                    }
-                if durable is not None:
-                    from repro.engine.store import record_best_effort
 
-                    record_best_effort(
-                        lambda: durable.scoreboard.record(
-                            [("observe", hit.method, signature, hit.objective,
-                              hit.wall_time, True)]
-                        ),
-                        "solve telemetry record",
-                    )
-                return hit
-        with obs.span("engine.solve", backend=backend.name) as solve_span:
-            result = solve_one(problem, backend, ensure_rng(seed), refine, top_k)
-            if solve_span.span_id is not None:
-                result.info["trace"] = {
-                    "trace_id": solve_span.trace_id,
-                    "span_id": solve_span.span_id,
-                }
-        if key is not None:
-            timings = result.info.get("timings") or {}
-            result.info.setdefault("engine", {}).update(
-                cache_hit=False,
-                formulate_time=timings.get("formulate_time", 0.0),
-                solve_time=timings.get("solve_time", 0.0),
-                cache_time=probe_s,
-            )
-            cache_store.put(key, result, signature=signature)
-    if durable is not None:
-        from repro.engine.store import record_best_effort
+def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
+             backend_opts: dict) -> "tuple[ExecutionPlan, list[tuple[int, int]]]":
+    """One backend's slice of a routed plan, renumbered to be self-contained.
 
-        record_best_effort(
-            lambda: durable.scoreboard.record(
-                [("observe", result.method, signature, result.objective,
-                  result.wall_time, False)]
-            ),
-            "solve telemetry record",
+    Items keep their compiled seeds and fingerprints; indices and shard ids
+    are renumbered locally (``execute_plan`` addresses results by them) and
+    the returned mapping restores each local index to its
+    ``(batch index, global shard id)``.
+    """
+    from repro.api.backends import get_backend
+
+    probe = get_backend(backend_name, **backend_opts)
+    shards = plan.shards()
+    signatures = plan.meta["shard_signatures"]
+    items = []
+    local_to_global: list[tuple[int, int]] = []
+    for local_shard, shard_id in enumerate(shard_ids):
+        for item in shards[shard_id]:
+            items.append(replace(item, index=len(items), shard=local_shard))
+            local_to_global.append((item.index, shard_id))
+    subplan = ExecutionPlan(
+        items=items,
+        num_shards=len(shard_ids),
+        backend_name=backend_name,
+        backend_opts=dict(backend_opts),
+        backend_instance=None,
+        refine=plan.refine,
+        top_k=plan.top_k,
+        direct=probe.solves_problem_directly,
+        meta={
+            "batch_size": len(items),
+            "shard_sizes": [len(shards[s]) for s in shard_ids],
+            "max_shard_size": plan.meta.get("max_shard_size"),
+            "shard_signatures": [signatures[s] for s in shard_ids],
+        },
+    )
+    _assign_cache_keys(subplan)
+    return subplan, local_to_global
+
+
+def _opts_map(backend_opts: "dict | None", names) -> dict:
+    """Per-backend factory options, checked against the named candidates."""
+    opts_map = dict(backend_opts or {})
+    unknown = set(opts_map) - set(names)
+    if unknown:
+        raise ReproError(
+            f"backend_opts for {sorted(unknown)} match no candidate backend; "
+            "there is no named backend of that name in the call"
         )
-    return result
+    return opts_map
+
+
+def record_telemetry(results, store, durable: bool = True, scoreboard=None,
+                     portfolio: "str | None" = None) -> None:
+    """Record every result exactly once, live and durably (the one sink).
+
+    With a ``scoreboard`` (a scheduled call) the results are observed on it
+    and its pending observations are flushed to its bound store — or
+    discarded when ``durable`` is false (an explicit ``store=False``).
+    Without one they go straight into ``store``'s durable scoreboard.
+    ``portfolio`` is the structure signature of a portfolio winner: every
+    contender in its ``info["portfolio"]`` breakdown is recorded instead.
+    """
+    from repro.engine.store import record_best_effort
+
+    if scoreboard is not None:
+        for result in results:
+            if portfolio is None:
+                scoreboard.observe_result(result)
+            else:
+                scoreboard.observe_portfolio(result, signature=portfolio)
+        if durable:
+            record_best_effort(scoreboard.flush, "scoreboard flush")
+        else:
+            scoreboard.discard_pending()
+    elif store is not None and portfolio is None:
+        record_best_effort(
+            lambda: store.scoreboard.record_results(results), "batch telemetry record"
+        )
+    elif store is not None:
+        record_best_effort(
+            lambda: store.scoreboard.record_portfolio(results[0], signature=portfolio),
+            "portfolio telemetry record",
+        )
 
 
 # -- portfolio racing -------------------------------------------------------
@@ -643,6 +691,7 @@ def run_portfolio(
     backend_opts: "dict | None" = None,
     deadline_s: "float | None" = None,
     store=None,
+    scheduler: "AdaptiveScheduler | None" = None,
 ) -> SolveResult:
     """Race several backends on one instance; return the best finisher.
 
@@ -656,19 +705,32 @@ def run_portfolio(
     clock deadline is inherently machine-dependent, so deadline racing
     trades determinism for latency — leave ``deadline_s=None`` when exact
     reproducibility matters.
+
+    With a ``scheduler`` only the contenders
+    :meth:`~repro.engine.scheduler.AdaptiveScheduler.choose_race` picks
+    race (route-then-race-top-k), and the winner's
+    ``info["portfolio_meta"]["scheduler"]`` records the ranking, the raced
+    subset and the exploration flag.  Every contender's outcome is
+    recorded through :func:`record_telemetry`.
     """
     from repro.api.backends import Backend, get_backend
+    from repro.api.problem import qubo_signature
+    from repro.engine.store import resolve_store
 
+    durable = store is not False
+    store = resolve_store(store)
     backends = list(backends)
     if not backends:
         raise ReproError("portfolio needs at least one backend")
-    opts_map = dict(backend_opts or {})
-    names = {b for b in backends if isinstance(b, str)}
-    unknown = set(opts_map) - names
-    if unknown:
-        raise ReproError(
-            f"backend_opts for {sorted(unknown)} match no named backend in the portfolio"
-        )
+    opts_map = _opts_map(backend_opts, [b for b in backends if isinstance(b, str)])
+    signature = signature_key(qubo_signature(problem.to_qubo()))
+    scoreboard = routing = None
+    if scheduler is not None:
+        scoreboard = scheduler.scoreboard
+        if store is not None:
+            scoreboard.bind_store(store)
+        routing = scheduler.choose_race(signature, backends)
+        backends = routing["raced"]
 
     contenders = []
     for b in backends:
@@ -730,17 +792,7 @@ def run_portfolio(
         "completed": len(completed),
         "raced": deadline_s is not None,
     }
-    from repro.engine.store import record_best_effort, resolve_store
-
-    durable = resolve_store(store)
-    if durable is not None:
-        from repro.api.problem import qubo_signature
-        from repro.engine.plan import signature_key
-
-        record_best_effort(
-            lambda: durable.scoreboard.record_portfolio(
-                best, signature=signature_key(qubo_signature(problem.to_qubo()))
-            ),
-            "portfolio telemetry record",
-        )
+    if routing is not None:
+        best.info["portfolio_meta"]["scheduler"] = routing
+    record_telemetry([best], store, durable, scoreboard, portfolio=signature)
     return best

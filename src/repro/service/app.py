@@ -2,9 +2,9 @@
 
 :class:`SolverService` owns the long-lived engine state (one
 :class:`~repro.engine.cache.ResultCache`, one
-:class:`~repro.engine.scheduler.BackendScoreboard` — wrapped in an
-:class:`~repro.engine.scheduler.AdaptiveScheduler` when the fleet has more
-than one backend — and optionally one durable
+:class:`~repro.engine.scheduler.BackendScoreboard` — read by one
+:class:`~repro.engine.scheduler.AdaptiveScheduler` for the fleet and one
+for the degraded tier — and optionally one durable
 :class:`~repro.engine.store.EngineStore`), the job book, the coalescing
 queue, and the dispatcher task that turns queued submissions into
 ``solve_many`` waves.
@@ -18,7 +18,7 @@ whom.  Coalescing is therefore free of result skew; what it buys is
 amortisation: one executor dispatch per wave instead of per request,
 **single-flight dedup** (identical ``(problem fingerprint, seed)``
 submissions in one wave are solved once and fanned out), shared cache and
-store tiers, and — in fleet mode — scoreboard routing per structure.
+store tiers, and scoreboard routing per structure.
 
 Threading model: the event loop owns jobs/queue/metrics bookkeeping; each
 wave's engine call runs in a worker thread (``asyncio.to_thread``) and
@@ -90,25 +90,20 @@ class SolverService:
         else:
             raise ReproError("service cache must be true/false or a directory path")
         self.scoreboard = BackendScoreboard(store=self.store)
-        self.scheduler: "AdaptiveScheduler | None" = None
-        if self.config.scheduled:
-            self.scheduler = AdaptiveScheduler(
+        # Every wave routes through a scheduler over the one scoreboard,
+        # which records each result exactly once.  Degraded requests run on
+        # the classical tier under their own scheduler, so routing stays
+        # inside the scheduled determinism contract (same scoreboard, same
+        # seed discipline).
+        self.scheduler, self._degrade_scheduler = (
+            AdaptiveScheduler(
                 scoreboard=self.scoreboard,
                 epsilon=self.config.epsilon,
                 seed=self.config.scheduler_seed,
                 deadline_s=self.config.scheduler_deadline_s,
             )
-        # Degraded requests run on the classical tier; a multi-name tier
-        # gets its own scheduler so routing stays inside the scheduled
-        # determinism contract (same scoreboard, same seed discipline).
-        self._degrade_scheduler: "AdaptiveScheduler | None" = None
-        if len(self.config.degrade_backends) > 1:
-            self._degrade_scheduler = AdaptiveScheduler(
-                scoreboard=self.scoreboard,
-                epsilon=self.config.epsilon,
-                seed=self.config.scheduler_seed,
-                deadline_s=self.config.scheduler_deadline_s,
-            )
+            for _ in range(2)
+        )
 
         # -- admission -------------------------------------------------------
         self.admission = AdmissionPolicy(
@@ -520,12 +515,7 @@ class SolverService:
         results: "list | None" = None
         engine_spans: list = []
         try:
-            out = await asyncio.to_thread(self._solve_wave, jobs)
-            # Tolerate a bare results list (test doubles patch _solve_wave).
-            if isinstance(out, tuple) and len(out) == 2:
-                results, engine_spans = out
-            else:
-                results = out
+            results, engine_spans = await asyncio.to_thread(self._solve_wave, jobs)
             if len(results) != len(jobs):
                 raise ReproError(
                     f"wave returned {len(results)} results for {len(jobs)} jobs"
@@ -688,69 +678,40 @@ class SolverService:
         literally the same solve under the service's determinism contract,
         so only the first is dispatched and the rest share its result
         object (results are treated as immutable once returned).  The
-        survivors go through ``solve_many`` with explicit seeds and
-        single-item shards.
+        survivors go through one scheduled ``solve_many`` call with
+        explicit seeds and single-item shards; the engine records their
+        telemetry on the scoreboard (and its store) exactly once.
         """
         config = self.config
-        order: "dict[tuple[str, int], int]" = {}
-        assignment: list[int] = []
-        problems: list = []
-        seeds: list[int] = []
-        for job in jobs:
-            key = (job.problem.to_qubo().fingerprint(), job.seed)
-            slot = order.get(key)
-            if slot is None:
-                slot = len(problems)
-                order[key] = slot
-                problems.append(job.problem)
-                seeds.append(job.seed)
-            assignment.append(slot)
-        self._m["unique_solves"].inc(len(problems))
-        self._m["deduped"].inc(len(jobs) - len(problems))
+        keys = [(job.problem.to_qubo().fingerprint(), job.seed) for job in jobs]
+        unique: "dict[tuple[str, int], Job]" = {}
+        for key, job in zip(keys, jobs):
+            unique.setdefault(key, job)
+        slots = {key: slot for slot, key in enumerate(unique)}
+        self._m["unique_solves"].inc(len(unique))
+        self._m["deduped"].inc(len(jobs) - len(unique))
 
         from repro.api.facade import solve_many
 
         backends = tuple(config.backends) if fleet is None else tuple(fleet)
-        scheduler = self.scheduler if fleet is None else self._degrade_scheduler
-        if len(backends) > 1 and scheduler is not None:
-            results = solve_many(
-                problems,
-                backend=backends,
-                scheduler=scheduler,
-                seeds=seeds,
-                refine=config.refine,
-                top_k=config.top_k,
-                executor=config.executor,
-                cache=self.cache,
-                max_shard_size=1,
-                store=self.store if self.store is not None else False,
-                **{
-                    name: dict(opts)
-                    for name, opts in config.backend_opts.items()
-                    if name in backends
-                },
-            )
-        else:
-            backend = backends[0]
-            results = solve_many(
-                problems,
-                backend=backend,
-                seeds=seeds,
-                refine=config.refine,
-                top_k=config.top_k,
-                executor=config.executor,
-                cache=self.cache,
-                max_shard_size=1,
-                store=self.store if self.store is not None else False,
-                **dict(config.backend_opts.get(backend, {})),
-            )
-            # The scheduled path feeds the scoreboard itself; the fixed-
-            # backend path feeds it here so capacity stats exist either way.
-            for result in results:
-                self.scoreboard.observe_result(result)
-            if self.store is not None:
-                record_best_effort(self.scoreboard.flush, "wave scoreboard flush")
-        return [results[slot] for slot in assignment]
+        results = solve_many(
+            [job.problem for job in unique.values()],
+            backend=backends,
+            scheduler=self.scheduler if fleet is None else self._degrade_scheduler,
+            seeds=[job.seed for job in unique.values()],
+            refine=config.refine,
+            top_k=config.top_k,
+            executor=config.executor,
+            cache=self.cache,
+            max_shard_size=1,
+            store=self.store if self.store is not None else False,
+            **{
+                name: dict(opts)
+                for name, opts in config.backend_opts.items()
+                if name in backends
+            },
+        )
+        return [results[slots[key]] for key in keys]
 
 
 def _scrub(value):

@@ -131,21 +131,29 @@ def _qubo_from_spec(spec: Mapping) -> Problem:
         raise ReproError("qubo 'quadratic' must be a list of [u, v, coefficient] triples")
     if not linear and not quadratic:
         raise ReproError("a qubo spec needs at least one linear or quadratic term")
-    model = QuboModel()
     try:
-        for label, coeff in linear.items():
-            model.add_linear(str(label), float(coeff))
-        for entry in quadratic:
-            u, v, coeff = entry
-            model.add_quadratic(str(u), str(v), float(coeff))
-        model.add_offset(float(spec.get("offset", 0.0)))
+        terms = [(str(label), float(coeff)) for label, coeff in linear.items()]
+        pairs = [(str(u), str(v), float(coeff)) for u, v, coeff in quadratic]
+        offset = float(spec.get("offset", 0.0))
     except (TypeError, ValueError) as exc:
         raise ReproError(f"malformed qubo term: {exc}") from exc
-    if model.num_variables > MAX_QUBO_VARIABLES:
+    # Count distinct labels before building, so an oversized spec is
+    # refused without allocating its model.
+    labels = dict.fromkeys(
+        [label for label, _ in terms] + [label for u, v, _ in pairs for label in (u, v)]
+    )
+    if len(labels) > MAX_QUBO_VARIABLES:
         raise ReproError(
-            f"qubo spec has {model.num_variables} variables "
-            f"(limit {MAX_QUBO_VARIABLES})"
+            f"qubo spec has {len(labels)} variables (limit {MAX_QUBO_VARIABLES})"
         )
+    model = QuboModel()
+    for label in labels:
+        model.variable(label)
+    for label, coeff in terms:
+        model.add_linear(label, coeff)
+    for u, v, coeff in pairs:
+        model.add_quadratic(u, v, coeff)
+    model.add_offset(offset)
     return RawQuboProblem(model)
 
 

@@ -21,7 +21,6 @@ from repro.db.generator import chain_query
 from repro.exceptions import ReproError
 from repro.integration import generate_schema_pair
 from repro.mqo import exhaustive_mqo, generate_mqo_problem
-from repro.mqo.solve import solve_with_annealer, solve_with_qaoa, solve_with_sampler
 from repro.qubo.model import QuboModel
 from repro.txn import generate_transactions
 
@@ -99,6 +98,31 @@ class TestSeeding:
         b = solve(problem, backend="sa", seed=np.random.default_rng(7))
         assert a.solution == b.solution and a.energy == b.energy
 
+    def test_generator_seed_draws_one_child_like_solve_many(self, tmp_path):
+        from repro.engine import EngineStore, ResultCache
+
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=1)
+        (batch,) = repro.solve_many([problem], backend="sa", seed=np.random.default_rng(7))
+        cache, store = ResultCache(), EngineStore(tmp_path / "engine.db")
+        single = solve(problem, backend="sa", seed=np.random.default_rng(7),
+                       cache=cache, store=store)
+        assert single.solution == batch.solution and single.energy == batch.energy
+        assert single.engine["seed"] == batch.engine["seed"]
+        # A drawn seed is not content-addressable: no entry in any tier.
+        assert len(cache) == 0 and len(store.cache) == 0
+        assert store.scoreboard.load()[("sa", None)].count == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**63 - 1, 2**64])
+    def test_int_seed_out_of_range_is_a_repro_error(self, seed):
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=1)
+        with pytest.raises(ReproError, match="seeds must be integers"):
+            solve(problem, backend="sa", seed=seed)
+
+    def test_int_seed_range_edges_solve(self):
+        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=1)
+        for seed in (0, 2**63 - 2):
+            assert solve(problem, backend="tabu", seed=seed).engine["seed"] == seed
+
     def test_portfolio_reproducible(self):
         problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=2)
         a = solve_portfolio(problem, backends=("sa", "tabu"), seed=5)
@@ -166,38 +190,6 @@ class TestAsProblem:
     def test_unknown_object_rejected(self):
         with pytest.raises(ReproError, match="cannot infer"):
             as_problem(object())
-
-
-class TestMQOShims:
-    """The legacy mqo.solve entry points are thin aliases over the facade."""
-
-    def test_sampler_shim_matches_facade(self):
-        from repro.annealing.simulated_annealing import SimulatedAnnealingSolver
-
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=4)
-        legacy = solve_with_sampler(
-            problem, SimulatedAnnealingSolver(num_reads=8, num_sweeps=100), rng=2
-        )
-        modern = solve(
-            problem,
-            SamplerBackend(SimulatedAnnealingSolver(num_reads=8, num_sweeps=100)),
-            seed=2,
-        )
-        assert legacy.selection == modern.solution
-        assert legacy.total_cost == pytest.approx(modern.objective)
-        assert legacy.energy == modern.energy
-
-    def test_annealer_shim_reports_chain_stats(self):
-        problem = generate_mqo_problem(3, 2, sharing_density=0.4, rng=5)
-        result = solve_with_annealer(problem, rng=1)
-        assert result.method == "annealer[sa]"
-        assert "chain_break_fraction" in result.info
-
-    def test_qaoa_shim_reports_qubits(self):
-        problem = generate_mqo_problem(2, 2, sharing_density=0.5, rng=6)
-        result = solve_with_qaoa(problem, num_layers=1, maxiter=25, restarts=1, rng=1)
-        assert result.method == "qaoa[p=1]"
-        assert result.info["qubits"] == 4
 
 
 class TestSamplerBackend:

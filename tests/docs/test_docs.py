@@ -7,7 +7,9 @@ dedicated steps):
   and ``repro.qdb.qql`` each carry a doctest-style example stating their
   shared/divergent grammar;
 * every intra-repo markdown link in ``docs/`` (and the top-level ``*.md``)
-  resolves, via the same checker CI runs (``tools/docs_lint.py``).
+  resolves, and every span in the observability doc's "emitted by" table
+  is a string literal in the file its row names, via the same checker CI
+  runs (``tools/docs_lint.py``).
 """
 
 import doctest
@@ -58,6 +60,33 @@ def test_docs_lint_detects_breakage(tmp_path):
     (tmp_path / "index.md").write_text("see [missing](nope.md) and [ok](#anchor)\n")
     problems = docs_lint.broken_links(tmp_path)
     assert len(problems) == 1 and "nope.md" in problems[0]
+
+
+def test_span_table_names_the_emitting_files():
+    docs_lint = _load_docs_lint()
+    problems = docs_lint.stale_span_rows(REPO_ROOT)
+    assert problems == [], "\n".join(problems)
+
+
+def test_docs_lint_detects_stale_span_table(tmp_path):
+    docs_lint = _load_docs_lint()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text('with span("a.span"):\n    pass\n')
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "observability.md").write_text(
+        "| span | emitted by |\n"
+        "| --- | --- |\n"
+        "| `a.span` | `src/mod.py` |\n"
+        "| `a.span`, `moved.span` | `src/mod.py` |\n"
+        "| `b.span` | `src/gone.py` |\n"
+        "| `c.span` | nowhere |\n"
+    )
+    problems = docs_lint.stale_span_rows(tmp_path)
+    assert len(problems) == 3, problems
+    assert ":4:" in problems[0] and "'moved.span'" in problems[0]
+    assert ":5:" in problems[1] and "src/gone.py" in problems[1]
+    assert ":6:" in problems[2] and "no source file" in problems[2]
+    assert docs_lint.main(["docs_lint", str(tmp_path)]) == 1
 
 
 if __name__ == "__main__":  # pragma: no cover - debugging aid

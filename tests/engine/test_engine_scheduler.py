@@ -18,9 +18,9 @@ from repro.api.result import SolveResult
 from repro.engine import (
     AdaptiveScheduler,
     BackendScoreboard,
-    run_portfolio_scheduled,
+    run_portfolio,
     signature_key,
-    solve_batch_scheduled,
+    solve_batch,
 )
 from repro.exceptions import ReproError
 from repro.qubo.model import QuboModel
@@ -264,8 +264,8 @@ class TestScheduledBatch:
     def test_deadline_routing_never_starves_a_shard(self):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, deadline_s=1e-9)
         for _ in range(2):
-            results = solve_batch_scheduled(
-                _toy_batch(), CANDIDATES, scheduler, seed=11
+            results = solve_batch(
+                _toy_batch(), CANDIDATES, scheduler=scheduler, seed=11
             )
         # Nothing can meet a nanosecond deadline, yet every shard still ran.
         assert all(r is not None and r.solution is not None for r in results)
@@ -278,8 +278,8 @@ class TestScheduledBatch:
             for _ in range(2):
                 out.append([
                     (r.objective, r.method)
-                    for r in solve_batch_scheduled(
-                        _toy_batch(), CANDIDATES, scheduler, seed=11, executor=executor
+                    for r in solve_batch(
+                        _toy_batch(), CANDIDATES, scheduler=scheduler, seed=11, executor=executor
                     )
                 ])
             return out
@@ -314,8 +314,8 @@ class TestScheduledBatch:
             scheduler.scoreboard.observe(winner, signatures[n], 0.0, 0.001)
             scheduler.scoreboard.observe(loser, signatures[n], 5.0, 0.001)
         counting = CountingExecutor()
-        results = solve_batch_scheduled(
-            _toy_batch(), CANDIDATES, scheduler, seed=11, executor=counting
+        results = solve_batch(
+            _toy_batch(), CANDIDATES, scheduler=scheduler, seed=11, executor=counting
         )
         assert {r.scheduled_backend for r in results} == set(CANDIDATES)
         assert len(counting.calls) == 1  # one dispatch wave for both backends
@@ -323,15 +323,15 @@ class TestScheduledBatch:
     def test_seeds_match_unscheduled_compilation(self):
         """Routing must not perturb the compiled child seeds."""
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3)
-        scheduled = solve_batch_scheduled(_toy_batch(), CANDIDATES, scheduler, seed=11)
+        scheduled = solve_batch(_toy_batch(), CANDIDATES, scheduler=scheduler, seed=11)
         plain = repro.solve_many(_toy_batch(), backend="scripted_good", seed=11)
         assert [r.engine["seed"] for r in scheduled] == [r.engine["seed"] for r in plain]
 
     def test_backend_opts_validated(self):
         scheduler = AdaptiveScheduler()
         with pytest.raises(ReproError, match="no candidate backend"):
-            solve_batch_scheduled(
-                _toy_batch(), CANDIDATES, scheduler, backend_opts={"sa": {}}
+            solve_batch(
+                _toy_batch(), CANDIDATES, scheduler=scheduler, backend_opts={"sa": {}}
             )
 
     def test_facade_rejects_sequence_without_scheduler(self):
@@ -345,7 +345,7 @@ class TestScheduledPortfolio:
         # With k=1 each round races one backend: two cold-sampling rounds
         # (one per candidate), then the scoreboard exploits.
         for _ in range(3):
-            result = run_portfolio_scheduled(ToyProblem(4), CANDIDATES, scheduler, seed=5)
+            result = run_portfolio(ToyProblem(4), CANDIDATES, scheduler=scheduler, seed=5)
         meta = result.info["portfolio_meta"]["scheduler"]
         assert meta["ranked"][0] == "scripted_good"
         assert meta["raced"] == ["scripted_good"]
@@ -355,7 +355,7 @@ class TestScheduledPortfolio:
 
     def test_scoreboard_fed_by_raced_contenders(self):
         scheduler = AdaptiveScheduler(epsilon=0.0, seed=3, race_top_k=2)
-        run_portfolio_scheduled(ToyProblem(4), CANDIDATES, scheduler, seed=5)
+        run_portfolio(ToyProblem(4), CANDIDATES, scheduler=scheduler, seed=5)
         assert scheduler.scoreboard.seen("scripted_good")
         assert scheduler.scoreboard.seen("scripted_bad")
 

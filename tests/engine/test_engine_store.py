@@ -373,6 +373,41 @@ class TestFacadeIntegration:
         assert total == 2 * len(_batch())
 
 
+class TestServiceRecording:
+    def test_single_backend_service_records_each_solve_once(self, tmp_path):
+        """A one-backend SolverService with a store writes every solve to
+        the store exactly once, so a restarted service hydrates the
+        statistics the first one saw live."""
+        import asyncio
+
+        from repro.service import ServiceConfig, SolverService
+
+        path = str(tmp_path / "engine.db")
+        solves = 3
+        spec = {"kind": "mqo", "num_queries": 3, "plans_per_query": 2,
+                "sharing_density": 0.4, "instance_seed": 7}
+
+        def boot():
+            return SolverService(ServiceConfig(
+                backends=("sa",), backend_opts={"sa": FAST_SA}, window_s=0.0,
+                max_wave=1, store=path,
+            ))
+
+        async def serve(service):
+            await service.start()
+            for seed in range(solves):
+                await service.submit(spec, seed=seed).future
+            await service.shutdown()
+
+        first = boot()
+        asyncio.run(serve(first))
+        live = first.scoreboard._stats
+        stored = EngineStore(path).scoreboard.load()
+        assert {k: s.count for k, s in stored.items()} == {k: s.count for k, s in live.items()}
+        assert live and all(s.count == solves for s in live.values())
+        assert_stats_equal(boot().scoreboard._stats, live)
+
+
 # -- the determinism bar -----------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from repro.api.backends import BruteForceBackend
 from repro.engine import (
     AdaptiveScheduler,
     ResultCache,
-    solve_batch_scheduled,
+    solve_batch,
     solve_decomposed,
 )
 from repro.mqo import generate_mqo_problem
@@ -156,8 +156,8 @@ class TestSpanTaxonomy:
                                       store=tmp_path / "engine.db")
         collector = obs.SpanCollector()
         with obs.activate(collector):
-            results = solve_batch_scheduled(
-                _batch(), ["sa", "tabu"], scheduler, seed=11,
+            results = solve_batch(
+                _batch(), ["sa", "tabu"], scheduler=scheduler, seed=11,
                 store=tmp_path / "engine.db",
                 backend_opts={"sa": dict(num_reads=2, num_sweeps=20),
                               "tabu": dict(num_restarts=1, max_iterations=30)},

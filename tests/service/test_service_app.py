@@ -163,6 +163,20 @@ def test_submit_validation_and_backpressure():
     asyncio.run(scenario())
 
 
+def test_qubo_spec_bounds_are_checked_before_building(monkeypatch):
+    """An oversized or malformed ``qubo`` spec is a ReproError (HTTP 400)
+    raised before any QuboModel is allocated."""
+    import repro.service.problems as problems
+
+    monkeypatch.setattr(problems, "QuboModel", None)  # building would TypeError
+    too_many = {f"x{i}": 1.0 for i in range(problems.MAX_QUBO_VARIABLES)}
+    with pytest.raises(ReproError, match="limit"):
+        problem_from_spec({"kind": "qubo", "linear": too_many,
+                           "quadratic": [["x0", "extra", 1.0]]})
+    with pytest.raises(ReproError, match="malformed"):
+        problem_from_spec({"kind": "qubo", "quadratic": [["x0", "x1"]]})
+
+
 def test_wave_error_fails_jobs_not_service():
     async def scenario():
         # An unknown backend option detonates inside the wave dispatch.
@@ -260,7 +274,7 @@ def test_short_wave_results_terminalise_every_job():
     async def scenario():
         service = make_service(max_wave=2)
         await service.start()
-        service._solve_wave = lambda jobs: [object()]  # one result, two jobs
+        service._solve_wave = lambda jobs: ([object()], [])  # one result, two jobs
         jobs = [service.submit(MQO_SPEC, seed=s) for s in (0, 1)]
         await asyncio.wait_for(
             asyncio.gather(*[job.future for job in jobs]), timeout=10.0

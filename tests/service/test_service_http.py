@@ -96,6 +96,29 @@ def test_submit_poll_and_wait(server):
     assert json.loads(body)["status"] == "done"
 
 
+def test_documented_qubo_spec_solves_like_a_direct_solve(server):
+    """The ``qubo`` spec docs/service.md shows is accepted, and its answer
+    is the one ``repro.solve`` gives for the same model and seed."""
+    import repro
+    from repro.qubo.model import QuboModel
+    from repro.service.problems import RawQuboProblem
+
+    _, base = server
+    spec = {"kind": "qubo", "linear": {"x0": -1.0},
+            "quadratic": [["x0", "x1", 2.0]], "offset": 0.0}
+    status, body = _post(base, "/v1/solve", {"problem": spec, "seed": 7, "wait": True})
+    assert status == 200, body
+    served = json.loads(body)["result"]
+
+    model = QuboModel()
+    model.variables_from(["x0", "x1"])
+    model.add_linear("x0", -1.0)
+    model.add_quadratic("x0", "x1", 2.0)
+    direct = repro.solve(RawQuboProblem(model), seed=7).to_json_dict()
+    for field in ("solution", "objective", "energy"):
+        assert served[field] == json.loads(json.dumps(direct[field])), field
+
+
 def test_traced_request_resolves_to_a_span_tree(server):
     """The flight-recorder contract over real sockets: the job id of a
     solved request dereferences to its admission -> queue -> wave ->
