@@ -8,8 +8,8 @@ registered engine::
 
 Since the execution-engine refactor these entry points are thin front-ends
 over :mod:`repro.engine`: the planner compiles batches into structure-keyed
-shards, pluggable executors (``serial`` / ``threads`` / ``processes`` /
-``async``) run the shards, and a content-addressed
+shards, pluggable executors (``serial`` / ``threads`` / ``processes``)
+run the shards, and a content-addressed
 :class:`~repro.engine.cache.ResultCache` skips repeat work.
 ``solve_portfolio`` races several backends on one instance (optionally
 under a wall-clock deadline) and keeps the best answer; ``solve_many`` runs
@@ -158,10 +158,11 @@ def solve_portfolio(
 ) -> SolveResult:
     """Race several backends on one instance; return the best result.
 
-    Each backend gets an independent child RNG split from ``seed``, so a
-    deadline-free portfolio is reproducible as a whole.  The winner's
-    result carries an ``info["portfolio"]`` breakdown of every contender
-    and an ``info["portfolio_meta"]`` scheduling summary.
+    Each backend runs as a one-item engine plan with an independent child
+    seed split from ``seed``, so a deadline-free portfolio is reproducible
+    as a whole.  The winner's result carries its ``info["engine"]`` block,
+    an ``info["portfolio"]`` breakdown of every contender and an
+    ``info["portfolio_meta"]`` scheduling summary.
 
     Args:
         backend_opts: Per-backend factory options keyed by registry name,
@@ -238,11 +239,7 @@ def solve_many(
         executor: ``"serial"`` (default), ``"threads"`` (overlaps wherever
             the backend drops the GIL or waits on I/O), ``"processes"``
             (true parallelism for the CPU-bound simulator backends; shards
-            must pickle, so select the backend by name), ``"async"``
-            (asyncio event loop with bounded global/per-backend concurrency;
-            backends implementing the ``run_async`` coroutine overlap on
-            the loop without pinning a worker thread each — built for
-            latency-bound hardware clients), or an
+            must pickle, so select the backend by name), or an
             :class:`~repro.engine.executors.Executor` instance.  A
             caller-supplied ``Backend`` *instance* keeps the determinism
             guarantee only while its state is keyed by QUBO signature

@@ -6,7 +6,7 @@ under it, split into three pieces that compose::
     compile_plan(problems, backend, seed)        # plan.py      — what to run
         -> ExecutionPlan (shards, seeds, fingerprints, cache keys)
     execute_plan(plan, executor=..., cache=...)  # runner.py    — how to run it
-        -> [SolveResult]  via serial / threads / processes / async executors
+        -> [SolveResult]  via serial / threads / processes executors
     ResultCache                                  # cache.py     — what to skip
     AdaptiveScheduler / BackendScoreboard        # scheduler.py — where to run it
         (telemetry-driven shard routing + route-then-race-top-k portfolios)
@@ -34,7 +34,6 @@ from repro.engine.decompose import (
     solve_decomposed,
 )
 from repro.engine.executors import (
-    AsyncExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -50,7 +49,6 @@ from repro.engine.runner import (
     run_portfolio,
     solve_batch,
     solve_one,
-    solve_one_async,
 )
 from repro.engine.scheduler import (
     AdaptiveScheduler,
@@ -80,7 +78,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "get_executor",
     "list_executors",
     "ExecutionPlan",
@@ -92,7 +89,6 @@ __all__ = [
     "record_telemetry",
     "solve_batch",
     "solve_one",
-    "solve_one_async",
     "run_portfolio",
     "AdaptiveScheduler",
     "BackendScoreboard",

@@ -37,11 +37,17 @@ import numpy as np
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
-from repro.engine.plan import ExecutionPlan, _assign_cache_keys, compile_plan, signature_key
+from repro.engine.plan import (
+    _SEED_RANGE,
+    ExecutionPlan,
+    _assign_cache_keys,
+    compile_plan,
+    signature_key,
+)
 from repro.engine.scheduler import _candidate_names
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
-from repro.utils.rngtools import ensure_rng, spawn
+from repro.utils.rngtools import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
@@ -50,67 +56,15 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.engine.scheduler import AdaptiveScheduler
 
 
-def _direct_result(problem, backend, rng, refine: bool, start: float, model,
-                   formulate_s: float = 0.0) -> SolveResult:
-    """Finish a direct-solve (no QUBO sampling) run; energy is NaN by convention."""
-    from repro.api.result import SolveResult
-
-    solve_t0 = time.perf_counter()
-    solution = backend.solve_problem(problem, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    if refine:
-        solution = problem.refine(solution)
-    return SolveResult(
-        problem=problem.name,
-        method=backend.name,
-        solution=solution,
-        objective=problem.evaluate(solution),
-        energy=math.nan,
-        wall_time=time.perf_counter() - start,
-        num_variables=model.num_variables,
-        info={
-            "solver": backend.name,
-            "timings": {"formulate_time": formulate_s, "solve_time": solve_s},
-        },
-    )
-
-
-def _sampled_result(problem, backend, samples, refine: bool, top_k: int, start: float, model,
-                    formulate_s: float = 0.0, solve_s: float = 0.0) -> SolveResult:
-    """Decode/refine the ``top_k`` lowest-energy samples, keep the best."""
-    from repro.api.result import SolveResult
-
-    best_solution = None
-    best_objective = math.inf
-    for sample in samples.truncate(max(top_k, 1)):
-        solution = problem.decode(sample.bits)
-        if refine:
-            solution = problem.refine(solution)
-        objective = problem.evaluate(solution)
-        if objective < best_objective:
-            best_objective = objective
-            best_solution = solution
-    info = dict(samples.info)
-    info["timings"] = {"formulate_time": formulate_s, "solve_time": solve_s}
-    return SolveResult(
-        problem=problem.name,
-        method=backend.name,
-        solution=best_solution,
-        objective=best_objective,
-        energy=samples.best.energy,
-        wall_time=time.perf_counter() - start,
-        num_variables=model.num_variables,
-        info=info,
-    )
-
-
 def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
     """Solve one problem on one backend instance (the pipeline kernel).
 
     Direct-solve backends (``classical``) bypass QUBO *sampling* but still
     report ``num_variables`` from the problem's cached formulation, so
     result rows stay comparable across backends; their ``energy`` is NaN by
-    convention (see :class:`~repro.api.result.SolveResult`).
+    convention (see :class:`~repro.api.result.SolveResult`).  Sampling
+    backends decode/refine their ``top_k`` lowest-energy samples and keep
+    the best.
 
     Every result carries ``info["timings"]`` — ``formulate_time`` (the
     ``to_qubo`` call; near zero when the adapter's cached formulation is
@@ -118,56 +72,43 @@ def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int)
     (backend sampling / direct solve).  Decode/refine/evaluate is the
     remainder of ``wall_time``.
     """
+    from repro.api.result import SolveResult
+
     start = time.perf_counter()
     model = problem.to_qubo()
     formulate_s = time.perf_counter() - start
-    if backend.solves_problem_directly:
-        return _direct_result(problem, backend, rng, refine, start, model, formulate_s)
     solve_t0 = time.perf_counter()
-    samples = backend.run(model, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    return _sampled_result(
-        problem, backend, samples, refine, top_k, start, model, formulate_s, solve_s
-    )
-
-
-async def solve_one_async(
-    problem: Problem, backend: Backend, rng, refine: bool, top_k: int, offload=None
-) -> SolveResult:
-    """Coroutine twin of :func:`solve_one` for ``supports_async`` backends.
-
-    Awaits :meth:`~repro.api.backends.Backend.run_async` instead of calling
-    ``run``; everything around the sampling step (formulation, decode,
-    refine, evaluation) is byte-for-byte the same code, so an async backend
-    that honours the run/run_async equivalence contract yields identical
-    results on every executor.
-
-    ``offload`` is an optional async callable (``thunk -> awaitable``) that
-    runs the CPU segments — formulation, decode/refine/evaluation — off the
-    event loop.  The async executor passes its bounded thread pool here so
-    many in-flight shards never single-thread their post-processing on the
-    loop; ``None`` runs those segments inline.
-    """
-
-    async def cpu(thunk):
-        if offload is None:
-            return thunk()
-        return await offload(thunk)
-
-    start = time.perf_counter()
-    model = await cpu(problem.to_qubo)
-    formulate_s = time.perf_counter() - start
     if backend.solves_problem_directly:
-        return await cpu(
-            lambda: _direct_result(problem, backend, rng, refine, start, model, formulate_s)
-        )
-    solve_t0 = time.perf_counter()
-    samples = await backend.run_async(model, rng=rng)
-    solve_s = time.perf_counter() - solve_t0
-    return await cpu(
-        lambda: _sampled_result(
-            problem, backend, samples, refine, top_k, start, model, formulate_s, solve_s
-        )
+        best_solution = backend.solve_problem(problem, rng=rng)
+        solve_s = time.perf_counter() - solve_t0
+        if refine:
+            best_solution = problem.refine(best_solution)
+        best_objective = problem.evaluate(best_solution)
+        energy, info = math.nan, {"solver": backend.name}
+    else:
+        samples = backend.run(model, rng=rng)
+        solve_s = time.perf_counter() - solve_t0
+        best_solution = None
+        best_objective = math.inf
+        for sample in samples.truncate(max(top_k, 1)):
+            solution = problem.decode(sample.bits)
+            if refine:
+                solution = problem.refine(solution)
+            objective = problem.evaluate(solution)
+            if objective < best_objective:
+                best_objective = objective
+                best_solution = solution
+        energy, info = samples.best.energy, dict(samples.info)
+    info["timings"] = {"formulate_time": formulate_s, "solve_time": solve_s}
+    return SolveResult(
+        problem=problem.name,
+        method=backend.name,
+        solution=best_solution,
+        objective=best_objective,
+        energy=energy,
+        wall_time=time.perf_counter() - start,
+        num_variables=model.num_variables,
+        info=info,
     )
 
 
@@ -233,128 +174,58 @@ def _shard_tier(tiers: list) -> "str | None":
     return None
 
 
-def _resolve_payload_backend(payload: dict):
-    from repro.api.backends import get_backend
+def _run_shard_items(payload: dict) -> dict:
+    """The shard worker: resolve the backend, run the items in shard order.
 
-    if payload["backend_name"] is not None:
-        return get_backend(payload["backend_name"], **payload["backend_opts"])
-    return payload["backend_instance"]
-
-
-def _begin_shard_span(tracer, payload: dict, backend):
-    if tracer is None:
-        return None
-    return tracer.begin(
-        "engine.shard",
-        parent=payload.get("trace"),
-        shard=payload["shard"],
-        shard_size=payload["shard_size"],
-        signature=payload.get("signature"),
-        backend=backend.name,
-        executor=payload["executor"],
-    )
-
-
-def _begin_solve_span(tracer, shard_span, payload: dict, seed: int, fp: str, index: int):
-    if tracer is None:
-        return None
-    return tracer.begin(
-        "engine.solve",
-        parent=shard_span,
-        shard=payload["shard"],
-        index=index,
-        seed=seed,
-        fingerprint=fp[:16],
-    )
-
-
-def _end_solve_span(tracer, span, result) -> None:
-    """Close a per-item span and stamp its ids as the result's join key."""
-    if tracer is None:
-        return
-    tracer.end(span)
-    result.info["trace"] = {"trace_id": span["trace_id"], "span_id": span["span_id"]}
-
-
-def _run_shard_items(backend, payload: dict) -> dict:
-    """Run a shard's items in order on an already-resolved backend instance.
-
-    Items run in shard order on the shared instance, so signature-keyed
-    backend caches (embeddings, warm-start angles) amortise across the
-    shard exactly as they did on the old single-instance batch path.
+    Items run in shard order on one instance, so signature-keyed backend
+    caches (embeddings, warm-start angles) amortise across the shard.  A
+    by-name backend gets a fresh instance here; a caller-supplied instance
+    is shared.  Module-level, so the process executor can pickle it.
 
     Returns ``{"items": [(index, result), ...], "spans": [...]}`` — spans
     collected worker-side when the payload carries a trace context, so the
     dispatching side can re-emit them regardless of executor.
     """
+    from repro.api.backends import get_backend
+
+    backend = payload["backend_instance"]
+    if payload["backend_name"] is not None:
+        backend = get_backend(payload["backend_name"], **payload["backend_opts"])
     tracer = obs.collector_for(payload.get("trace"))
-    shard_span = _begin_shard_span(tracer, payload, backend)
+    shard_span = None
+    if tracer is not None:
+        shard_span = tracer.begin(
+            "engine.shard",
+            parent=payload.get("trace"),
+            shard=payload["shard"],
+            shard_size=payload["shard_size"],
+            signature=payload.get("signature"),
+            backend=backend.name,
+            executor=payload["executor"],
+        )
     out = []
     for pos, (index, problem, seed, fp) in enumerate(
         zip(payload["indices"], payload["problems"], payload["seeds"], payload["fingerprints"])
     ):
-        solve_span = _begin_solve_span(tracer, shard_span, payload, seed, fp, index)
+        if tracer is not None:
+            solve_span = tracer.begin(
+                "engine.solve", parent=shard_span, shard=payload["shard"],
+                index=index, seed=seed, fingerprint=fp[:16],
+            )
         result = solve_one(
             problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"]
         )
-        _end_solve_span(tracer, solve_span, result)
+        if tracer is not None:
+            # The span ids are the result's join key into the trace.
+            tracer.end(solve_span)
+            result.info["trace"] = {
+                "trace_id": solve_span["trace_id"], "span_id": solve_span["span_id"],
+            }
         _stamp_engine_info(result, payload, pos)
         out.append((index, result))
     if tracer is not None:
         tracer.end(shard_span)
     return {"items": out, "spans": tracer.drain() if tracer is not None else []}
-
-
-def _execute_shard(payload: dict) -> dict:
-    """Resolve the shard's backend and run it; module-level for pickling."""
-    return _run_shard_items(_resolve_payload_backend(payload), payload)
-
-
-async def _execute_shard_async(payload: dict, backend, offload) -> dict:
-    """Coroutine twin of :func:`_execute_shard` (same ordering, same state).
-
-    Items still run strictly in shard order on the shared instance — the
-    awaits overlap *across* shards on the event loop, never within one, so
-    signature-keyed backend caches see the exact sequence the sync path
-    produces.  CPU segments go through ``offload`` (the executor's bounded
-    pool) so the event loop only ever holds the waits.
-    """
-    tracer = obs.collector_for(payload.get("trace"))
-    shard_span = _begin_shard_span(tracer, payload, backend)
-    out = []
-    for pos, (index, problem, seed, fp) in enumerate(
-        zip(payload["indices"], payload["problems"], payload["seeds"], payload["fingerprints"])
-    ):
-        solve_span = _begin_solve_span(tracer, shard_span, payload, seed, fp, index)
-        result = await solve_one_async(
-            problem, backend, np.random.default_rng(seed), payload["refine"], payload["top_k"],
-            offload=offload,
-        )
-        _end_solve_span(tracer, solve_span, result)
-        _stamp_engine_info(result, payload, pos)
-        out.append((index, result))
-    if tracer is not None:
-        tracer.end(shard_span)
-    return {"items": out, "spans": tracer.drain() if tracer is not None else []}
-
-
-def _shard_coroutine(payload: dict, fallback):
-    """``to_coroutine`` hook for the async executor.
-
-    Resolves the shard's backend exactly once: sync-only backends are
-    handed — already resolved — to the executor's ``fallback`` (a
-    coroutine factory running a thunk on the bounded thread pool), while
-    ``supports_async`` backends run on the event loop, awaiting their
-    samples thread-free and borrowing the pool only for the CPU segments
-    around each wait.
-    """
-    backend = _resolve_payload_backend(payload)
-    if not getattr(backend, "supports_async", False):
-        return fallback(lambda: _run_shard_items(backend, payload))
-    return _execute_shard_async(payload, backend, fallback)
-
-
-_execute_shard.to_coroutine = _shard_coroutine
 
 
 def execute_plans(
@@ -432,7 +303,7 @@ def execute_plans(
             prepared.append((plan, results, store))
 
         for owner, probe_s, shard_out in zip(
-            payload_owner, payload_probe_s, runner.run(_execute_shard, flat_payloads)
+            payload_owner, payload_probe_s, runner.run(_run_shard_items, flat_payloads)
         ):
             obs.ingest(shard_out["spans"])
             results = prepared[owner][1]
@@ -695,10 +566,13 @@ def run_portfolio(
 ) -> SolveResult:
     """Race several backends on one instance; return the best finisher.
 
-    Each contender gets an independent child RNG split from ``seed`` in
-    contender order, so a deadline-free portfolio is reproducible as a
-    whole.  With ``deadline_s`` set, contenders run concurrently in a
-    thread pool and only those that finish inside the deadline compete
+    Each contender is a one-item plan (:func:`compile_plan`) whose seed is
+    drawn from ``seed`` in contender order, so it runs like every other
+    solve and its result carries ``info["engine"]``.  Without a deadline
+    the plans run as one serial, uncached :func:`execute_plans` wave, so a
+    deadline-free portfolio is reproducible as a whole.  With
+    ``deadline_s`` set, each plan runs on its own thread of a pool and
+    only those that finish inside the deadline compete
     (stragglers are abandoned, not interrupted — their entry is marked
     ``"deadline_exceeded"``); at least one contender is always awaited so
     the call never returns empty-handed.  Which contenders beat a wall-
@@ -713,7 +587,6 @@ def run_portfolio(
     subset and the exploration flag.  Every contender's outcome is
     recorded through :func:`record_telemetry`.
     """
-    from repro.api.backends import Backend, get_backend
     from repro.api.problem import qubo_signature
     from repro.engine.store import resolve_store
 
@@ -732,55 +605,44 @@ def run_portfolio(
         routing = scheduler.choose_race(signature, backends)
         backends = routing["raced"]
 
-    contenders = []
-    for b in backends:
-        if isinstance(b, Backend):
-            contenders.append((b.name, b))
-        else:
-            contenders.append((b, get_backend(b, **opts_map.get(b, {}))))
-    rngs = spawn(ensure_rng(seed), len(contenders))
+    seeds = ensure_rng(seed).integers(0, _SEED_RANGE, size=len(backends))
+    plans = [
+        compile_plan([problem], b, seeds=[s], refine=refine, top_k=top_k,
+                     backend_opts=opts_map.get(b) if isinstance(b, str) else None)
+        for b, s in zip(backends, seeds)
+    ]
+    names = [plan.backend_name or plan.backend_instance.name for plan in plans]
 
-    def _run(idx: int) -> SolveResult:
-        return solve_one(problem, contenders[idx][1], rngs[idx], refine, top_k)
+    def entry(method, objective=math.nan, wall_time=math.nan, status="completed") -> dict:
+        return {"method": method, "objective": objective, "wall_time": wall_time,
+                "status": status}
 
     if deadline_s is None:
-        results = [_run(i) for i in range(len(contenders))]
-        entries = [
-            {"method": r.method, "objective": r.objective, "wall_time": r.wall_time,
-             "status": "completed"}
-            for r in results
-        ]
-        completed = results
+        completed = [results[0] for results in execute_plans(plans)]
+        entries = [entry(r.method, r.objective, r.wall_time) for r in completed]
     else:
-        pool = ThreadPoolExecutor(
-            max_workers=len(contenders), thread_name_prefix="portfolio"
-        )
-        futures = {pool.submit(_run, i): i for i in range(len(contenders))}
+        pool = ThreadPoolExecutor(max_workers=len(plans), thread_name_prefix="portfolio")
+        futures = {pool.submit(execute_plan, plan): i for i, plan in enumerate(plans)}
         done, pending = wait(futures, timeout=deadline_s)
         if not done:
             done, pending = wait(futures, return_when=FIRST_COMPLETED)
         # Abandon stragglers: cancel queued work, never block on running threads.
         pool.shutdown(wait=False, cancel_futures=True)
-        entries = [None] * len(contenders)
+        entries = [None] * len(plans)
         completed = []
         errors = []
         for future in done:
             idx = futures[future]
-            label = contenders[idx][0]
             exc = future.exception()
             if exc is not None:
                 errors.append(exc)
-                entries[idx] = {"method": label, "objective": math.nan,
-                                "wall_time": math.nan, "status": "error"}
+                entries[idx] = entry(names[idx], status="error")
                 continue
-            r = future.result()
+            r = future.result()[0]
             completed.append(r)
-            entries[idx] = {"method": r.method, "objective": r.objective,
-                            "wall_time": r.wall_time, "status": "completed"}
+            entries[idx] = entry(r.method, r.objective, r.wall_time)
         for future in pending:
-            idx = futures[future]
-            entries[idx] = {"method": contenders[idx][0], "objective": math.nan,
-                            "wall_time": math.nan, "status": "deadline_exceeded"}
+            entries[futures[future]] = entry(names[futures[future]], status="deadline_exceeded")
         if not completed:
             raise errors[0] if errors else ReproError("portfolio produced no results")
 
@@ -788,7 +650,7 @@ def run_portfolio(
     best.info["portfolio"] = entries
     best.info["portfolio_meta"] = {
         "deadline_s": deadline_s,
-        "contenders": len(contenders),
+        "contenders": len(plans),
         "completed": len(completed),
         "raced": deadline_s is not None,
     }

@@ -18,7 +18,7 @@ into routing decisions:
 Routing happens **before** dispatch and the scoreboard updates **after**
 the whole batch returns, so a scheduled batch stays deterministic for a
 fixed ``(scheduler seed, scoreboard history)`` across serial / threads /
-processes / async executors — exactly the engine's existing contract.
+processes executors — exactly the engine's existing contract.
 Mid-batch adaptation would tie routing to completion order and silently
 break it, which is why the batch boundary is the observation boundary.
 """

@@ -62,6 +62,7 @@ except ImportError:  # pragma: no cover - Python 3.10: env/kwargs config only
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.engine.executors import list_executors
 from repro.exceptions import ReproError
 from repro.service.admission import DEFAULT_LANE_WEIGHTS, PRIORITIES, TenantBudget
 
@@ -214,6 +215,11 @@ class ServiceConfig:
             raise ReproError("max_wave must be >= 1")
         if self.max_inflight_waves < 1:
             raise ReproError("max_inflight_waves must be >= 1")
+        if self.executor not in list_executors():
+            raise ReproError(
+                f"unknown executor {self.executor!r}; "
+                f"available: {', '.join(list_executors())}"
+            )
         if not self.backends:
             raise ReproError("the backend fleet needs at least one registry name")
         unknown = set(self.backend_opts) - set(self.backends)

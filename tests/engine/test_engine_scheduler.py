@@ -284,7 +284,7 @@ class TestScheduledBatch:
                 ])
             return out
 
-        assert run("serial") == run("threads") == run("async")
+        assert run("serial") == run("threads")
 
     def test_mixed_routing_dispatches_as_one_wave(self):
         """Shards routed to different backends must reach the executor in a

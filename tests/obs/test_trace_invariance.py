@@ -25,7 +25,7 @@ from repro.engine import (
 from repro.mqo import generate_mqo_problem
 from repro.qubo.model import QuboModel
 
-ALL_EXECUTORS = ["serial", "threads", "processes", "async"]
+ALL_EXECUTORS = ["serial", "threads", "processes"]
 MATRIX_BACKENDS = {
     "tabu": dict(num_restarts=2, max_iterations=40),
     "sa": dict(num_reads=3, num_sweeps=30),
@@ -56,7 +56,7 @@ def _signature(results):
 
 
 class TestTraceInvariance:
-    """serial/threads/processes/async x tabu/sa: tracing on == tracing off."""
+    """serial/threads/processes x tabu/sa: tracing on == tracing off."""
 
     @pytest.mark.parametrize("executor", ALL_EXECUTORS)
     @pytest.mark.parametrize("backend", sorted(MATRIX_BACKENDS))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import list_executors
 from repro.exceptions import ReproError
 from repro.service.config import ServiceConfig, load_config
 
@@ -30,6 +31,24 @@ def test_validation_rejects_bad_values():
     for overrides in bad:
         with pytest.raises(ReproError):
             ServiceConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("name", ["nope", "async"])
+def test_unknown_executor_rejected_at_validation(name):
+    """An unknown executor fails the config, not every request after boot."""
+    with pytest.raises(ReproError, match="available: processes, serial, threads"):
+        ServiceConfig(executor=name).validate()
+
+
+@pytest.mark.parametrize("name", ["nope", "async"])
+def test_unknown_executor_env_rejected(name):
+    with pytest.raises(ReproError, match=f"unknown executor '{name}'"):
+        load_config(env={"REPRO_SERVICE_EXECUTOR": name})
+
+
+def test_every_listed_executor_validates():
+    for name in list_executors():
+        assert ServiceConfig(executor=name).validate().executor == name
 
 
 def test_env_overrides_beat_defaults():
