@@ -268,7 +268,7 @@ def test_store_restart_warm_routing_beats_cold(benchmark, tmp_path):
         scheduler = AdaptiveScheduler(
             epsilon=0.0, seed=0, race_top_k=len(candidates), store=store
         )
-        cold_cache = ResultCache(store=store)
+        cold_cache = ResultCache()
         t0 = time.perf_counter()
         for representative in representatives:
             solve_portfolio(
@@ -287,7 +287,7 @@ def test_store_restart_warm_routing_beats_cold(benchmark, tmp_path):
         # -- warm: a new process hydrates from the file alone ---------------
         store2 = EngineStore(store_path)
         fresh = AdaptiveScheduler(epsilon=0.0, seed=0, store=store2)
-        warm_cache = ResultCache(store=store2)
+        warm_cache = ResultCache()
         t0 = time.perf_counter()
         warm = solve_many(
             problems, backend=candidates, scheduler=fresh, seed=11,

@@ -83,18 +83,22 @@ def solve(
             (the hybrid loop of Sec. III-C.2).
         top_k: Decode this many lowest-energy samples, keep the best.
         cache: ``None``/``False`` (off), ``True`` (process-global
-            :class:`~repro.engine.cache.ResultCache`), a directory path, or
-            a ``ResultCache``.  Only consulted when the backend is selected
-            by name *and* ``seed`` is an integer (otherwise the result is
-            not content-addressable); hits are byte-equivalent to a re-run
-            and are flagged in ``info["engine"]["cache_hit"]``.
+            :class:`~repro.engine.cache.ResultCache`), or a
+            ``ResultCache``.  The cache lives in memory; a path is rejected
+            (the durable tier is ``store``).  Only consulted when the
+            backend is selected by name *and* ``seed`` is an integer
+            (otherwise the result is not content-addressable); hits are
+            byte-equivalent to a re-run and are flagged in
+            ``info["engine"]["cache_hit"]``.
         store: ``None`` (consult the ``REPRO_STORE`` environment variable),
             ``False`` (off), a path, or an
             :class:`~repro.engine.store.EngineStore` — the durable SQLite
-            tier of ``docs/engine.md``.  Adds a cross-process shared cache
-            layer under ``cache`` (enabling caching if it was off) and
-            records the solve's outcome into the durable scoreboard so
-            routing knowledge survives restarts.
+            tier of ``docs/engine.md``.  Passed down the call as the
+            cross-process shared cache tier behind ``cache`` (a per-call
+            cache is used if caching was off; later calls without
+            ``store=`` never read or write it), and records the solve's
+            outcome into the durable scoreboard so routing knowledge
+            survives restarts.
         decompose: Large-instance handling (``docs/engine.md``,
             "Decomposition").  ``None``/``False``: off.  ``True``: if the
             problem's QUBO exceeds the backend's declared

@@ -616,11 +616,15 @@ def _resolve_column(ref: ColumnRef, relations: dict[str, Relation]) -> tuple[str
 
 
 def _qualified_index(relation: Relation, table: str, column: str) -> int:
-    """Index of ``table.column`` in a (possibly joined) relation."""
+    """Index of ``table.column`` in a (possibly joined) relation.
+
+    A bare column name is only ``table``'s own when the relation is that
+    table's scan; in any other relation it belongs to some other table.
+    """
     qualified = f"{table}.{column}"
     if qualified in relation.columns:
         return relation.columns.index(qualified)
-    if column in relation.columns:
+    if relation.name == table and column in relation.columns:
         return relation.columns.index(column)
     raise ReproError(f"column {qualified} missing from intermediate result")
 
@@ -665,13 +669,14 @@ def execute(query: "ParsedQuery | str", catalog: Catalog) -> Relation:
     else:
         result = _join_all(query, filtered, catalog)
 
-    # Column-to-column predicates the join step cannot consume — non-equi
-    # comparisons and same-table comparisons — apply as post-join filters.
+    # Every column-to-column predicate applies as a post-join filter.  The
+    # join step consumes at most one equi-predicate per joined pair, so the
+    # rest (a second predicate on one alias pair, non-equi and same-table
+    # comparisons) must be checked here; re-checking a consumed one is a
+    # no-op.
     for cond in query.join_conditions:
         lt, lc = _resolve_column(cond.left, relations)
         rt, rc = _resolve_column(cond.right, relations)
-        if cond.op == "=" and lt != rt and len(query.tables) > 1:
-            continue
         li = _qualified_index(result, lt, lc)
         ri = _qualified_index(result, rt, rc)
         comparator = _COMPARATORS[cond.op]

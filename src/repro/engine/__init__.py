@@ -63,7 +63,6 @@ from repro.engine.store import (
     SharedCacheTier,
     engine_store,
     resolve_store,
-    store_bound_cache,
 )
 
 __all__ = [
@@ -100,5 +99,4 @@ __all__ = [
     "SharedCacheTier",
     "engine_store",
     "resolve_store",
-    "store_bound_cache",
 ]

@@ -36,14 +36,11 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.engine.cache import make_cache_key
 from repro.exceptions import ReproError
-from repro.utils.rngtools import ensure_rng
+from repro.utils.rngtools import SEED_RANGE, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
     from repro.api.problem import Problem
-
-#: Upper bound on the child-seed range; matches ``repro.utils.rngtools.spawn``.
-_SEED_RANGE = 2**63 - 1
 
 
 def _opts_key(backend_opts: dict, refine: bool, top_k: int) -> str:
@@ -92,7 +89,6 @@ class ExecutionPlan:
     backend_instance: "Backend | None"
     refine: bool
     top_k: int
-    direct: bool           #: backend solves problems directly (no QUBO sampling)
     meta: dict = field(default_factory=dict)
 
     def shards(self) -> list[list[PlanItem]]:
@@ -183,10 +179,9 @@ def compile_plan(
                 "deterministically"
             )
         backend_name, backend_instance = None, backend
-        probe = backend
     else:
         backend_name, backend_instance = str(backend), None
-        probe = get_backend(backend_name, **backend_opts)
+        get_backend(backend_name, **backend_opts)  # fail fast on a bad name/opts
     if max_shard_size is not None and max_shard_size < 1:
         raise ReproError("max_shard_size must be >= 1")
 
@@ -198,11 +193,11 @@ def compile_plan(
                 f"seeds= must provide one seed per problem: got {len(child_seeds)} "
                 f"seeds for {len(coerced)} problems"
             )
-        if any(not 0 <= s < _SEED_RANGE for s in child_seeds):
-            raise ReproError(f"explicit seeds must be integers in [0, {_SEED_RANGE})")
+        if any(not 0 <= s < SEED_RANGE for s in child_seeds):
+            raise ReproError(f"explicit seeds must be integers in [0, {SEED_RANGE})")
     else:
         base = ensure_rng(seed)
-        child_seeds = [int(s) for s in base.integers(0, _SEED_RANGE, size=len(coerced))]
+        child_seeds = [int(s) for s in base.integers(0, SEED_RANGE, size=len(coerced))]
     if labels is not None:
         item_labels = list(labels)
         if len(item_labels) != len(coerced):
@@ -250,7 +245,6 @@ def compile_plan(
         backend_instance=backend_instance,
         refine=refine,
         top_k=top_k,
-        direct=probe.solves_problem_directly,
         meta={
             "batch_size": len(items),
             "shard_sizes": list(shard_fill),

@@ -5,8 +5,9 @@ This module owns the code that actually runs a compiled
 
 * :func:`solve_one` — the Problem -> QUBO -> Backend -> SolveResult kernel
   (moved here from the facade so every executor shares one definition);
-* :func:`execute_plans` — cache lookup, shard dispatch through a pluggable
-  executor, cache fill, and per-result engine metadata;
+* :func:`execute_plans` — cache lookup (memory, then the call's durable
+  store), shard dispatch through a pluggable executor, cache fill, and
+  per-result engine metadata;
 * :func:`solve_batch` — compile, optionally route each shard through an
   :class:`~repro.engine.scheduler.AdaptiveScheduler`, and execute: the one
   batch entry point behind ``solve``, ``solve_many`` and the service;
@@ -38,7 +39,6 @@ import numpy as np
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.executors import get_executor
 from repro.engine.plan import (
-    _SEED_RANGE,
     ExecutionPlan,
     _assign_cache_keys,
     compile_plan,
@@ -47,13 +47,14 @@ from repro.engine.plan import (
 from repro.engine.scheduler import _candidate_names
 from repro.exceptions import ReproError
 from repro.obs import trace as obs
-from repro.utils.rngtools import ensure_rng
+from repro.utils.rngtools import SEED_RANGE, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.backends import Backend
     from repro.api.problem import Problem
     from repro.api.result import SolveResult
     from repro.engine.scheduler import AdaptiveScheduler
+    from repro.engine.store import EngineStore
 
 
 def solve_one(problem: Problem, backend: Backend, rng, refine: bool, top_k: int) -> SolveResult:
@@ -166,14 +167,6 @@ def _stamp_engine_info(result, payload: dict, pos: int) -> None:
     result.info["engine"] = engine
 
 
-def _shard_tier(tiers: list) -> "str | None":
-    """The slowest tier a shard-atomic hit touched (store > disk > memory)."""
-    for tier in ("store", "disk", "memory"):
-        if tier in tiers:
-            return tier
-    return None
-
-
 def _run_shard_items(payload: dict) -> dict:
     """The shard worker: resolve the backend, run the items in shard order.
 
@@ -231,7 +224,8 @@ def _run_shard_items(payload: dict) -> dict:
 def execute_plans(
     plans: "list[ExecutionPlan]",
     executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
+    cache: "ResultCache | bool | None" = None,
+    store: "EngineStore | None" = None,
 ) -> "list[list[SolveResult]]":
     """Run several compiled plans as **one** dispatch wave; results per plan.
 
@@ -246,19 +240,22 @@ def execute_plans(
     Cache hits are taken shard-atomically (see module docstring); every
     result's ``info["engine"]`` records shard, position, structure
     signature, executor, seed, truncated fingerprint, and whether it was
-    served from cache.
+    served from cache.  ``store`` (the call's
+    :class:`~repro.engine.store.EngineStore`) is the durable tier behind
+    ``cache``: consulted on a memory miss and written through on every
+    fill.  It is reached only through a cache; :func:`solve_batch`
+    supplies a per-call one when a store is given and caching is off.
     """
     runner = get_executor(executor)
-    shared_store = resolve_cache(cache)  # one cache (and stats) per wave
+    shared_cache = resolve_cache(cache)  # one cache (and stats) per wave
     with obs.span("engine.execute", executor=runner.name, plans=len(plans)) as exec_span:
         prepared = []
         flat_payloads: list = []
         payload_owner: list[int] = []
         payload_probe_s: list[float] = []
         for plan in plans:
-            store = shared_store
-            if store is not None and not plan.cacheable:
-                store = None  # instance-backed plans carry opaque state; never cache
+            # Instance-backed plans carry opaque state; never cache them.
+            cache = shared_cache if plan.cacheable else None
             results: list = [None] * len(plan.items)
             for shard_items in plan.shards():
                 if not shard_items:
@@ -266,23 +263,23 @@ def execute_plans(
                 cached = None
                 tiers: list = []
                 probe_s = 0.0
-                if store is not None:
+                if cache is not None:
                     with obs.span(
                         "cache.lookup",
                         shard=shard_items[0].shard,
                         items=len(shard_items),
                     ) as cache_span:
                         probe_t0 = time.perf_counter()
-                        looked = [store.lookup(i.cache_key) for i in shard_items]
+                        looked = [cache.lookup(i.cache_key, store) for i in shard_items]
                         probe_s = time.perf_counter() - probe_t0
                         cached = [value for value, _ in looked]
                         tiers = [tier for _, tier in looked]
                         hit = all(value is not None for value in cached)
                         if not hit:
                             cached = None
-                        cache_span.set(
-                            hit=hit, tier=_shard_tier(tiers) if hit else None
-                        )
+                        # A hit reports the slowest tier it touched.
+                        tier = "store" if "store" in tiers else "memory"
+                        cache_span.set(hit=hit, tier=tier if hit else None)
                 if cached is not None:
                     payload = _shard_payload(plan, shard_items, runner.name)
                     for pos, (item, result) in enumerate(zip(shard_items, cached)):
@@ -300,7 +297,7 @@ def execute_plans(
                     flat_payloads.append(_shard_payload(plan, shard_items, runner.name))
                     payload_owner.append(len(prepared))
                     payload_probe_s.append(probe_s)
-            prepared.append((plan, results, store))
+            prepared.append((plan, results, cache))
 
         for owner, probe_s, shard_out in zip(
             payload_owner, payload_probe_s, runner.run(_run_shard_items, flat_payloads)
@@ -311,13 +308,14 @@ def execute_plans(
                 result.info["engine"]["cache_time"] = probe_s
                 results[index] = result
 
-        for plan, results, store in prepared:
-            if store is not None:
+        for plan, results, cache in prepared:
+            if cache is not None:
                 for item in plan.items:
                     result = results[item.index]
                     if not result.info.get("engine", {}).get("cache_hit"):
-                        store.put(
-                            item.cache_key, result, signature=plan.shard_signature(item.shard)
+                        cache.put(
+                            item.cache_key, result,
+                            signature=plan.shard_signature(item.shard), store=store,
                         )
         exec_span.set(shards_dispatched=len(flat_payloads))
     return [results for _, results, _ in prepared]
@@ -326,10 +324,11 @@ def execute_plans(
 def execute_plan(
     plan: ExecutionPlan,
     executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
+    cache: "ResultCache | bool | None" = None,
+    store: "EngineStore | None" = None,
 ) -> list[SolveResult]:
     """Run one compiled plan; see :func:`execute_plans` for the semantics."""
-    return execute_plans([plan], executor=executor, cache=cache)[0]
+    return execute_plans([plan], executor=executor, cache=cache, store=store)[0]
 
 
 def solve_batch(
@@ -339,7 +338,7 @@ def solve_batch(
     refine: bool = True,
     top_k: int = 8,
     executor: str = "serial",
-    cache: "ResultCache | bool | str | None" = None,
+    cache: "ResultCache | bool | None" = None,
     max_shard_size: "int | None" = None,
     backend_opts: "dict | None" = None,
     store=None,
@@ -355,8 +354,10 @@ def solve_batch(
 
     With a durable ``store`` (a path, an
     :class:`~repro.engine.store.EngineStore`, or ``None`` + ``REPRO_STORE``),
-    results flow through the store's shared cache tier and the batch's
-    telemetry is recorded into the durable scoreboard at the batch
+    results flow through the store's shared cache tier (behind the call's
+    ``cache``, or a fresh per-call :class:`ResultCache` when caching is
+    off: a durable store is an explicit request for result reuse) and the
+    batch's telemetry is recorded into the durable scoreboard at the batch
     boundary — so even unscheduled batches feed the routing knowledge a
     later :class:`~repro.engine.scheduler.AdaptiveScheduler` hydrates.
 
@@ -379,7 +380,7 @@ def solve_batch(
     ``labels`` tags items for telemetry (``info["engine"]["label"]``)
     without affecting sharding, seeding, or cache keys.
     """
-    from repro.engine.store import resolve_store, store_bound_cache
+    from repro.engine.store import resolve_store
 
     durable = store is not False
     store = resolve_store(store)
@@ -410,11 +411,15 @@ def solve_batch(
             labels=labels,
         )
         plan_span.set(items=len(plan.items), shards=plan.num_shards)
-    with store_bound_cache(cache, store) as bound:
-        runs = [(plan, None)]
-        if scheduler is not None:
-            runs = _route(plan, scheduler, names, opts_map, bound)
-        waves = execute_plans([run for run, _ in runs], executor=executor, cache=bound)
+    cache = resolve_cache(cache)
+    if cache is None and store is not None:
+        cache = ResultCache()
+    runs = [(plan, None)]
+    if scheduler is not None:
+        runs = _route(plan, scheduler, names, opts_map, cache, store)
+    waves = execute_plans(
+        [run for run, _ in runs], executor=executor, cache=cache, store=store
+    )
     results: list = [None] * len(plan.items)
     for (_, placements), run_results in zip(runs, waves):
         for local, result in enumerate(run_results):
@@ -425,14 +430,14 @@ def solve_batch(
     return results
 
 
-def _route(plan: ExecutionPlan, scheduler, names: list, opts_map: dict, bound):
+def _route(plan: ExecutionPlan, scheduler, names: list, opts_map: dict, cache, store):
     """The routing step: pick a backend per shard, split the plan by backend.
 
     Returns ``[(plan, placements)]`` in candidate order, where
     ``placements[local]`` is a sub-plan item's batch index and the
     ``info["engine"]`` stamp restoring its batch shard and routing record.
-    The shards' structures are prefetched from the store's shared tier into
-    ``bound``'s memory LRU before dispatch, so results a sibling process
+    The shards' structures are prefetched from ``store``'s shared tier into
+    ``cache``'s memory LRU before dispatch, so results a sibling process
     already stored are served from memory.
     """
     signatures = plan.meta["shard_signatures"]
@@ -442,9 +447,9 @@ def _route(plan: ExecutionPlan, scheduler, names: list, opts_map: dict, bound):
             decision = scheduler.choose(signature, names)
             route_span.set(backend=decision.backend, mode=decision.mode)
         decisions.append(decision)
-    if bound is not None and bound.store is not None:
+    if cache is not None and store is not None:
         for signature in dict.fromkeys(signatures):
-            bound.prefetch(signature)
+            cache.prefetch(signature, store)
 
     runs = []
     for name in names:
@@ -473,9 +478,6 @@ def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
     the returned mapping restores each local index to its
     ``(batch index, global shard id)``.
     """
-    from repro.api.backends import get_backend
-
-    probe = get_backend(backend_name, **backend_opts)
     shards = plan.shards()
     signatures = plan.meta["shard_signatures"]
     items = []
@@ -492,7 +494,6 @@ def _subplan(plan: ExecutionPlan, shard_ids: Sequence[int], backend_name: str,
         backend_instance=None,
         refine=plan.refine,
         top_k=plan.top_k,
-        direct=probe.solves_problem_directly,
         meta={
             "batch_size": len(items),
             "shard_sizes": [len(shards[s]) for s in shard_ids],
@@ -605,7 +606,7 @@ def run_portfolio(
         routing = scheduler.choose_race(signature, backends)
         backends = routing["raced"]
 
-    seeds = ensure_rng(seed).integers(0, _SEED_RANGE, size=len(backends))
+    seeds = ensure_rng(seed).integers(0, SEED_RANGE, size=len(backends))
     plans = [
         compile_plan([problem], b, seeds=[s], refine=refine, top_k=top_k,
                      backend_opts=opts_map.get(b) if isinstance(b, str) else None)

@@ -21,15 +21,16 @@ module makes that knowledge durable:
   while concurrent writers merge by observation count: every process's
   observations land, counts and tallies add, and the EWMA fields converge
   to the interleaved history.
-* :class:`SharedCacheTier` — a cross-process result tier that slots under
-  :class:`~repro.engine.cache.ResultCache` with the same
-  ``(fingerprint, backend, opts, seed, shard-prefix)`` keying.  Upserts
-  are atomic (one ``INSERT OR REPLACE`` per entry), eviction is
-  LRU-by-last-access under a byte budget, and entries are indexed by
-  structure signature so the scheduler can prefetch a shard's stored
-  results into the in-memory LRU the moment it routes the shard.
+* :class:`SharedCacheTier` — a cross-process result tier that a
+  :class:`~repro.engine.cache.ResultCache` consults when a call passes
+  ``store=``, with the same ``(fingerprint, backend, opts, seed,
+  shard-prefix)`` keying.  Upserts are atomic (one ``INSERT OR REPLACE``
+  per entry), eviction is LRU-by-last-access under a byte budget, and
+  entries are indexed by structure signature so the scheduler can prefetch
+  a shard's stored results into the in-memory LRU the moment it routes
+  the shard.
 
-``resolve_store`` accepts the same spelling family as ``resolve_cache``:
+``resolve_store`` normalises every ``store=`` spelling:
 ``None`` consults the ``REPRO_STORE`` environment variable, ``False``
 disables the store even when the variable is set, a path opens (and
 memoises) a store there, and a ready :class:`EngineStore` passes through.
@@ -46,7 +47,6 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.engine.cache import ResultCache, resolve_cache
 from repro.exceptions import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
@@ -401,11 +401,11 @@ def _row_to_stats(row) -> "BackendStats":
 class SharedCacheTier:
     """Cross-process content-addressed result blobs under a byte budget.
 
-    Slots beneath :class:`~repro.engine.cache.ResultCache` (its ``store=``
-    argument): the cache consults this tier after its memory and directory
-    tiers miss, and writes every ``put`` through.  Keys are the cache's own
-    ``(fingerprint, backend, opts, seed, shard-prefix)`` digests, so an
-    entry written by any process is a sound hit for every other.
+    The durable tier beneath :class:`~repro.engine.cache.ResultCache`: a
+    call that passes the owning store as ``store=`` consults this tier on
+    a memory miss and writes every ``put`` through.  Keys are the cache's
+    own ``(fingerprint, backend, opts, seed, shard-prefix)`` digests, so
+    an entry written by any process is a sound hit for every other.
 
     * **atomic upserts** — one ``INSERT OR REPLACE`` per entry inside a
       transaction; a crash never leaves a torn blob (SQLite rolls back).
@@ -556,52 +556,3 @@ def resolve_store(spec) -> "EngineStore | None":
     raise ReproError(
         f"store must be None/False, a path, or an EngineStore; got {type(spec).__name__}"
     )
-
-
-@contextlib.contextmanager
-def store_bound_cache(cache, store: "EngineStore | None"):
-    """Resolve ``cache=`` with the store's shared tier attached *for the call*.
-
-    With no store this is plain :func:`~repro.engine.cache.resolve_cache`.
-    With a store, a disabled cache becomes a fresh store-backed
-    :class:`ResultCache` (a durable store is an explicit request for result
-    reuse); an enabled cache without a tier borrows the store's tier for
-    the duration of the block and is detached on exit — a caller's (or the
-    process-global) cache must not keep writing to a store the caller
-    stopped passing.  Entries promoted into the cache's memory tier during
-    the block stay (they are sound content-addressed results).  A cache
-    *constructed* around a different store is an error — silently rebinding
-    would serve one store's entries under the other's budget and stats.
-    """
-    resolved = resolve_cache(cache)
-    if store is None:
-        yield resolved
-        return
-    if resolved is None:
-        yield ResultCache(store=store.cache)
-        return
-    # Borrows are reference-counted under the cache's own lock: concurrent
-    # calls sharing one cache (e.g. the process-global ``cache=True``) and
-    # the same store each hold the tier until the *last* borrower exits —
-    # the first finisher must not detach it out from under the others.
-    with resolved._lock:
-        if resolved.store is not None:
-            if resolved.store._store.path.resolve() != store.path.resolve():
-                raise ReproError("cache is already bound to a different EngineStore")
-            borrowed = resolved._store_borrows > 0
-            if borrowed:
-                resolved._store_borrows += 1
-        else:
-            resolved.store = store.cache
-            resolved._store_borrows = 1
-            borrowed = True
-    if not borrowed:  # permanently bound at construction: nothing to manage
-        yield resolved
-        return
-    try:
-        yield resolved
-    finally:
-        with resolved._lock:
-            resolved._store_borrows -= 1
-            if resolved._store_borrows == 0:
-                resolved.store = None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import replace
 from typing import Any
 
 from repro import obs
@@ -53,10 +54,7 @@ from repro.service.metrics import (
     MetricsRegistry,
 )
 from repro.service.problems import problem_from_spec
-
-#: Engine seed ceiling (repro.engine.plan._SEED_RANGE): request seeds must
-#: be valid explicit child seeds.
-MAX_SEED = 2**63 - 1
+from repro.utils.rngtools import SEED_RANGE
 
 
 class ServiceDraining(QueueClosed):
@@ -80,15 +78,7 @@ class SolverService:
         # -- long-lived engine state ----------------------------------------
         store_spec = False if self.config.store == "" else self.config.store
         self.store = resolve_store(store_spec)
-        cache_spec = self.config.cache
-        if cache_spec is True:
-            self.cache = ResultCache()
-        elif cache_spec in (False, None):
-            self.cache = None
-        elif isinstance(cache_spec, str):
-            self.cache = ResultCache(directory=cache_spec)
-        else:
-            raise ReproError("service cache must be true/false or a directory path")
+        self.cache = ResultCache() if self.config.cache else None
         self.scoreboard = BackendScoreboard(store=self.store)
         # Every wave routes through a scheduler over the one scoreboard,
         # which records each result exactly once.  Degraded requests run on
@@ -363,9 +353,9 @@ class SolverService:
         if not self._accepting:
             self._m["rejected"].inc(reason="draining")
             raise ServiceDraining("service is draining; not accepting new work")
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_RANGE:
             self._m["rejected"].inc(reason="bad_seed")
-            raise ReproError(f"seed must be an integer in [0, {MAX_SEED}), got {seed!r}")
+            raise ReproError(f"seed must be an integer in [0, {SEED_RANGE}), got {seed!r}")
         if not isinstance(tenant, str) or not tenant or len(tenant) > 128:
             self._m["rejected"].inc(reason="bad_tenant")
             raise ReproError("tenant must be a non-empty string (at most 128 chars)")
@@ -587,9 +577,8 @@ class SolverService:
             if copy.get("parent_id") not in kept_ids:
                 copy["parent_id"] = wave_span["span_id"]
             self.recorder.record(copy)
-        # Re-home the result's join stamp too: deduped siblings share the
-        # result object, so the stamp names the last sibling's trace — the
-        # span id stays valid in every sibling's trace.
+        # Re-home the result's join stamp too; the span id stays valid in
+        # the job's trace (each deduped sibling holds its own info dict).
         info["trace"] = {"trace_id": job.trace_id, "span_id": stamp.get("span_id")}
 
     def _finish(self, job: Job, status: str, result=None, error=None) -> None:
@@ -676,8 +665,9 @@ class SolverService:
 
         Requests naming the same ``(QUBO fingerprint, seed)`` are
         literally the same solve under the service's determinism contract,
-        so only the first is dispatched and the rest share its result
-        object (results are treated as immutable once returned).  The
+        so only the first is dispatched.  Each later sibling gets a shallow
+        copy of its result with its own ``info`` dict, so per-job stamps
+        (the re-homed trace, admission) never leak across jobs.  The
         survivors go through one scheduled ``solve_many`` call with
         explicit seeds and single-item shards; the engine records their
         telemetry on the scoreboard (and its store) exactly once.
@@ -711,7 +701,14 @@ class SolverService:
                 if name in backends
             },
         )
-        return [results[slots[key]] for key in keys]
+        out, seen = [], set()
+        for key in keys:
+            result = results[slots[key]]
+            if key in seen:
+                result = replace(result, info=dict(result.info))
+            seen.add(key)
+            out.append(result)
+        return out
 
 
 def _scrub(value):

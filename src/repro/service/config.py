@@ -28,7 +28,7 @@ TOML layout (every table and key optional)::
     executor = "threads"
     refine = true
     top_k = 8
-    cache = true                        # true | false | "/path/to/dir"
+    cache = true                        # in-memory result cache on/off
     store = "/var/lib/repro/engine.db"  # omit to consult REPRO_STORE
     epsilon = 0.1
     scheduler_seed = 0
@@ -60,7 +60,7 @@ try:
 except ImportError:  # pragma: no cover - Python 3.10: env/kwargs config only
     tomllib = None
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.engine.executors import list_executors
 from repro.exceptions import ReproError
@@ -145,8 +145,8 @@ class ServiceConfig:
         backend_opts: Per-backend factory options keyed by registry name.
         executor: Engine executor for wave dispatch (``threads`` default;
             any :func:`~repro.engine.executors.list_executors` entry).
-        cache: ``True`` (service-owned in-memory cache), ``False``, or a
-            directory path for the disk tier.
+        cache: ``True`` (service-owned in-memory cache) or ``False``.
+            The durable, cross-process result tier is ``store``.
         store: Durable :class:`~repro.engine.store.EngineStore` path.
             ``None`` consults ``REPRO_STORE`` (the engine convention);
             ``""`` forces the store off.
@@ -187,7 +187,7 @@ class ServiceConfig:
     executor: str = "threads"
     refine: bool = True
     top_k: int = 8
-    cache: Any = True
+    cache: bool = True
     store: "str | None" = None
     epsilon: float = 0.1
     scheduler_seed: int = 0
@@ -215,6 +215,11 @@ class ServiceConfig:
             raise ReproError("max_wave must be >= 1")
         if self.max_inflight_waves < 1:
             raise ReproError("max_inflight_waves must be >= 1")
+        if not isinstance(self.cache, bool):
+            raise ReproError(
+                f"cache must be true or false, got {self.cache!r}; the durable "
+                "result tier is store (an EngineStore path)"
+            )
         if self.executor not in list_executors():
             raise ReproError(
                 f"unknown executor {self.executor!r}; "

@@ -11,6 +11,11 @@ import numpy as np
 
 RngLike = "int | np.random.Generator | None"
 
+#: Exclusive upper bound of every child seed the library draws or accepts
+#: (``numpy`` ``integers(0, SEED_RANGE)``): planner, decomposer, portfolio
+#: contenders, and the service's request-seed check all share it.
+SEED_RANGE = 2**63 - 1
+
 
 def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for any accepted input.
@@ -29,5 +34,5 @@ def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Gene
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Split ``rng`` into ``n`` independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=n)
+    seeds = rng.integers(0, SEED_RANGE, size=n)
     return [np.random.default_rng(int(s)) for s in seeds]

@@ -106,10 +106,6 @@ class TestCompilePlan:
         with pytest.raises(ReproError, match="by name"):
             compile_plan([_mqo(1)] * 4, backend, seed=0, max_shard_size=2)
 
-    def test_direct_backend_flag(self):
-        assert compile_plan([_mqo(1)], "classical", seed=0).direct
-        assert not compile_plan([_mqo(1)], "sa", seed=0).direct
-
 
 class TestAsProblems:
     def test_batch_coercion_tags_position(self):

@@ -21,7 +21,6 @@ from repro.engine import (
     ResultCache,
     engine_store,
     resolve_store,
-    store_bound_cache,
 )
 from repro.engine.store import STORE_ENV_VAR
 from repro.exceptions import ReproError
@@ -193,38 +192,38 @@ class TestSharedCacheTier:
         """The crash-mid-write bar of the disk tier, restated for SQLite:
         a damaged blob must read as a miss, be evicted, and the slot heal."""
         store = EngineStore(tmp_path / "engine.db")
-        cache = ResultCache(store=store)
-        cache.put("k", {"payload": list(range(100))}, signature="sig")
+        cache = ResultCache()
+        cache.put("k", {"payload": list(range(100))}, signature="sig", store=store)
         with store._connection() as conn:  # corrupt the blob in place
             blob = conn.execute("SELECT blob FROM results WHERE key='k'").fetchone()[0]
             conn.execute("UPDATE results SET blob=? WHERE key='k'", (blob[: len(blob) // 2],))
-        reader = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        assert reader.get("k") is None
+        reader, reader_store = ResultCache(), EngineStore(tmp_path / "engine.db")
+        assert reader.get("k", store=reader_store) is None
         assert "k" not in store.cache  # evicted from the durable tier
-        reader.put("k", "fresh")
-        assert reader.get("k") == "fresh"
+        reader.put("k", "fresh", store=reader_store)
+        assert reader.get("k", store=reader_store) == "fresh"
 
     def test_result_cache_reads_through_and_promotes(self, tmp_path):
-        writer = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        writer.put("k", 42, signature="sig")
-        reader = ResultCache(store=EngineStore(tmp_path / "engine.db"))
-        assert reader.get("k") == 42
+        writer = ResultCache()
+        writer.put("k", 42, signature="sig", store=EngineStore(tmp_path / "engine.db"))
+        reader, reader_store = ResultCache(), EngineStore(tmp_path / "engine.db")
+        assert reader.get("k", store=reader_store) == 42
         assert reader.stats["store_hits"] == 1
         # Promoted into memory: a second get does not need the store.
-        reader.store.evict("k")
-        assert reader.get("k") == 42
+        reader_store.cache.evict("k")
+        assert reader.get("k", store=reader_store) == 42
         assert reader.stats == {"hits": 2, "misses": 0, "store_hits": 1, "entries": 1}
 
     def test_prefetch_warms_memory_by_signature(self, tmp_path):
         store = EngineStore(tmp_path / "engine.db")
-        writer = ResultCache(store=store)
-        writer.put("k1", "one", signature="sig-a")
-        writer.put("k2", "two", signature="sig-a")
-        writer.put("k3", "three", signature="sig-b")
-        fresh = ResultCache(store=store)
-        assert fresh.prefetch("sig-a") == 2
-        assert fresh.prefetch("sig-missing") == 0
-        assert ResultCache().prefetch("sig-a") == 0  # no tier: no-op
+        writer = ResultCache()
+        writer.put("k1", "one", signature="sig-a", store=store)
+        writer.put("k2", "two", signature="sig-a", store=store)
+        writer.put("k3", "three", signature="sig-b", store=store)
+        fresh = ResultCache()
+        assert fresh.prefetch("sig-a", store) == 2
+        assert fresh.prefetch("sig-missing", store) == 0
+        assert ResultCache().prefetch("sig-a", None) == 0  # no tier: no-op
         # Warmed entries serve from memory even after the tier loses them.
         store.cache.evict("k1"), store.cache.evict("k2")
         assert fresh.get("k1") == "one" and fresh.get("k2") == "two"
@@ -261,26 +260,6 @@ class TestResolution:
         again = repro.solve(_mqo(1), backend="sa", seed=9, **FAST_SA)
         assert again.cache_hit and again.objective == result.objective
 
-    def test_store_bound_cache_attaches_only_for_the_call(self, tmp_path):
-        store = EngineStore(tmp_path / "engine.db")
-        with store_bound_cache(None, None) as none:
-            assert none is None
-        with store_bound_cache(None, store) as built:
-            assert isinstance(built, ResultCache) and built.store is store.cache
-        mine = ResultCache()
-        with store_bound_cache(mine, store) as bound:
-            assert bound is mine and mine.store is store.cache
-        assert mine.store is None  # detached: later calls cannot leak writes
-        # ... so the same cache can serve a different store next call.
-        other = EngineStore(tmp_path / "other.db")
-        with store_bound_cache(mine, other) as bound:
-            assert bound.store is other.cache
-        # A cache *constructed* around a store is permanently bound.
-        owned = ResultCache(store=store)
-        with pytest.raises(ReproError, match="different EngineStore"):
-            with store_bound_cache(owned, other):
-                pass  # pragma: no cover - the bind itself raises
-
     def test_solve_with_store_never_leaks_into_later_calls(self, tmp_path):
         """A store= call must not leave the process-global cache writing to
         that store after the call returns."""
@@ -289,6 +268,22 @@ class TestResolution:
         entries_after_store_call = len(store.cache)
         repro.solve(_mqo(2), backend="sa", seed=9, cache=True, **FAST_SA)  # no store
         assert len(store.cache) == entries_after_store_call
+
+    def test_call_without_store_misses_a_store_only_entry(self, tmp_path, monkeypatch):
+        """An entry only the store holds is served to calls that pass the
+        store and to no other call."""
+        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
+        store = EngineStore(tmp_path / "engine.db")
+        first = repro.solve(_mqo(1), backend="sa", seed=9, store=store, **FAST_SA)
+        assert len(store.cache) == 1  # written through a per-call cache
+        cache = ResultCache()
+        without = repro.solve(_mqo(1), backend="sa", seed=9, cache=cache, **FAST_SA)
+        assert not without.cache_hit
+        assert cache.stats["misses"] == 1 and cache.stats["store_hits"] == 0
+        cache = ResultCache()
+        served = repro.solve(_mqo(1), backend="sa", seed=9, cache=cache, store=store, **FAST_SA)
+        assert served.cache_hit and served.engine["cache_tier"] == "store"
+        assert served.objective == first.objective and cache.stats["store_hits"] == 1
 
 
 class TestFacadeIntegration:
@@ -473,7 +468,7 @@ class TestHydratedRoutingDeterminism:
 
     def test_warm_batch_prefetches_and_hits_the_shared_tier(self, tmp_path):
         store, _ = self._warm(tmp_path / "engine.db")
-        cache = ResultCache(store=store)
+        cache = ResultCache()
         fresh = AdaptiveScheduler(epsilon=0.0, seed=0, store=store)
         warm = repro.solve_many(
             _batch(), backend=CANDIDATES, scheduler=fresh, seed=11, store=store,

@@ -72,6 +72,28 @@ def test_concurrent_submissions_coalesce_and_match_direct_solves():
         )
 
 
+def test_deduped_requests_keep_their_own_trace():
+    """Identical (spec, seed) requests share one solve, not one result
+    object: each job's result names its own trace."""
+
+    async def scenario():
+        service = make_service(max_wave=3, store="")
+        await service.start()
+        jobs = [service.submit(MQO_SPEC, seed=s) for s in (5, 5, 5)]
+        await asyncio.gather(*[job.future for job in jobs])
+        await service.shutdown()
+        return service, jobs
+
+    service, jobs = asyncio.run(scenario())
+    assert service._m["deduped"].value() == 2
+    assert len({job.trace_id for job in jobs}) == 3
+    for job in jobs:
+        assert job.status == "done"
+        assert job.result.info["trace"]["trace_id"] == job.trace_id
+        assert job.result.objective == jobs[0].result.objective
+        assert job.result.solution == jobs[0].result.solution
+
+
 def test_results_independent_of_wave_composition():
     """Seed 1 solved alone equals seed 1 solved in a crowd of strangers."""
 

@@ -112,6 +112,20 @@ num_reads = 8
     assert load_config(path, env={"REPRO_SERVICE_PORT": "1234"}, port=0).port == 0
 
 
+def test_cache_path_rejected_naming_store():
+    """The result cache is in memory only; a directory is not a cache."""
+    with pytest.raises(ReproError, match="store"):
+        ServiceConfig(cache="/x").validate()
+
+
+def test_toml_cache_directory_rejected(tmp_path):
+    pytest.importorskip("tomllib")
+    path = tmp_path / "service.toml"
+    path.write_text('[engine]\ncache = "/dir"\n')
+    with pytest.raises(ReproError, match="store"):
+        load_config(path, env={})
+
+
 def test_toml_unknown_keys_are_errors(tmp_path):
     pytest.importorskip("tomllib")
     bad_table = tmp_path / "bad_table.toml"
