@@ -3,7 +3,8 @@
 One claim, asserted: for a burst of concurrent single-solve requests, the
 service's coalescing queue dispatches **at least 4x fewer engine waves
 than requests** and finishes the burst **no slower than solving each
-request sequentially through the facade** — at *identical objectives*,
+request sequentially through the facade** (median of five alternating
+races) — at *identical objectives*,
 because explicit per-request seeds plus single-item shards make every
 coalesced solve bit-identical to its direct counterpart.
 
@@ -29,6 +30,7 @@ import asyncio
 import json
 import math
 import os
+import statistics
 import time
 
 from repro.api.facade import solve
@@ -39,6 +41,8 @@ UNIQUE_INSTANCES = 8
 SEEDS_PER_INSTANCE = 2
 DUPLICATES = 2
 SA_OPTS = dict(num_reads=8, num_sweeps=150)
+#: Repeats of the burst-vs-sequential race; the gate compares medians.
+BURST_REPEATS = 5
 
 
 def _burst():
@@ -123,31 +127,45 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives(benchmark):
         return service, jobs, elapsed
 
     def kernel():
-        direct, sequential_s = sequential()
-        service, jobs, service_s = asyncio.run(burst_through_service())
-        return direct, sequential_s, service, jobs, service_s
+        # Alternate which side runs first, so neither always pays the
+        # warm-up or always inherits a warm process.
+        runs = []
+        for repeat in range(BURST_REPEATS):
+            if repeat % 2 == 0:
+                direct, sequential_s = sequential()
+                service, jobs, service_s = asyncio.run(burst_through_service())
+            else:
+                service, jobs, service_s = asyncio.run(burst_through_service())
+                direct, sequential_s = sequential()
+            runs.append((direct, sequential_s, service, jobs, service_s))
+        return runs
 
-    direct, sequential_s, service, jobs, service_s = benchmark.pedantic(
-        kernel, rounds=1, iterations=1
-    )
+    runs = benchmark.pedantic(kernel, rounds=1, iterations=1)
 
-    # Identical results, request by request.
-    for reference, job in zip(direct, jobs):
-        assert job.status == "done"
-        assert reference.objective == job.result.objective
-        assert reference.solution == job.result.solution
+    for direct, _, service, jobs, _ in runs:
+        # Identical results, request by request.
+        for reference, job in zip(direct, jobs):
+            assert job.status == "done"
+            assert reference.objective == job.result.objective
+            assert reference.solution == job.result.solution
 
-    # Coalescing: >= 4x fewer waves than requests.
-    waves = service._m["waves"].value()
-    unique = service._m["unique_solves"].value()
-    deduped = service._m["deduped"].value()
-    assert waves <= len(requests) / 4, f"{waves} waves for {len(requests)} requests"
-    assert unique + deduped == len(requests)
-    assert deduped >= len(requests) // DUPLICATES  # single-flight dedup worked
+        # Coalescing: >= 4x fewer waves than requests.
+        waves = service._m["waves"].value()
+        unique = service._m["unique_solves"].value()
+        deduped = service._m["deduped"].value()
+        assert waves <= len(requests) / 4, f"{waves} waves for {len(requests)} requests"
+        assert unique + deduped == len(requests)
+        assert deduped >= len(requests) // DUPLICATES  # single-flight dedup worked
 
-    # Throughput: the coalesced burst must not lose to sequential solving.
+    # Throughput: the coalesced burst must not lose to sequential solving,
+    # judged on the medians of the repeats rather than one wall-clock race.
+    sequential_times = [run[1] for run in runs]
+    service_times = [run[4] for run in runs]
+    sequential_s = statistics.median(sequential_times)
+    service_s = statistics.median(service_times)
     assert service_s <= sequential_s, (
-        f"coalesced burst took {service_s:.3f}s vs sequential {sequential_s:.3f}s"
+        f"coalesced burst median {service_s:.3f}s vs sequential {sequential_s:.3f}s "
+        f"(service {service_times}, sequential {sequential_times})"
     )
 
     path = _emit_bench_json(
@@ -159,8 +177,11 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives(benchmark):
             "deduped_requests": deduped,
             "waves": waves,
             "coalescing_ratio": len(requests) / waves,
+            "repeats": len(runs),
             "sequential_s": round(sequential_s, 4),
             "service_s": round(service_s, 4),
+            "sequential_runs_s": [round(t, 4) for t in sequential_times],
+            "service_runs_s": [round(t, 4) for t in service_times],
             "speedup": round(sequential_s / service_s, 3) if service_s else None,
             "mean_objective": round(
                 sum(r.objective for r in direct) / len(direct), 6
@@ -169,8 +190,8 @@ def test_coalesced_burst_beats_sequential_at_equal_objectives(benchmark):
     )
     print(
         f"\n[bench_service] {len(requests)} requests -> {int(waves)} wave(s), "
-        f"{int(unique)} engine solves; sequential {sequential_s:.3f}s, "
-        f"coalesced {service_s:.3f}s -> {path}"
+        f"{int(unique)} engine solves; median of {len(runs)} runs: sequential "
+        f"{sequential_s:.3f}s, coalesced {service_s:.3f}s -> {path}"
     )
 
 

@@ -521,33 +521,25 @@ def record_telemetry(results, store, durable: bool = True, scoreboard=None,
                      portfolio: "str | None" = None) -> None:
     """Record every result exactly once, live and durably (the one sink).
 
-    With a ``scoreboard`` (a scheduled call) the results are observed on it
+    With a ``scoreboard`` (a scheduled call) the results are recorded on it
     and its pending observations are flushed to its bound store — or
     discarded when ``durable`` is false (an explicit ``store=False``).
     Without one they go straight into ``store``'s durable scoreboard.
-    ``portfolio`` is the structure signature of a portfolio winner: every
-    contender in its ``info["portfolio"]`` breakdown is recorded instead.
+    Both destinations take the same ``record_results(results, portfolio)``
+    call: ``portfolio`` is the structure signature of a portfolio winner,
+    whose ``info["portfolio"]`` contenders are recorded instead.
     """
     from repro.engine.store import record_best_effort
 
     if scoreboard is not None:
-        for result in results:
-            if portfolio is None:
-                scoreboard.observe_result(result)
-            else:
-                scoreboard.observe_portfolio(result, signature=portfolio)
+        scoreboard.record_results(results, portfolio)
         if durable:
             record_best_effort(scoreboard.flush, "scoreboard flush")
         else:
             scoreboard.discard_pending()
-    elif store is not None and portfolio is None:
-        record_best_effort(
-            lambda: store.scoreboard.record_results(results), "batch telemetry record"
-        )
     elif store is not None:
         record_best_effort(
-            lambda: store.scoreboard.record_portfolio(results[0], signature=portfolio),
-            "portfolio telemetry record",
+            lambda: store.scoreboard.record_results(results, portfolio), "telemetry record"
         )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
     from repro.api.result import SolveResult
+
+#: EWMA smoothing of scoreboard statistics, live and durable.
+DEFAULT_ALPHA = 0.25
 
 
 def expected_service_time(
@@ -118,6 +121,78 @@ class BackendStats:
         }
 
 
+def observations(results: "Iterable[SolveResult | None]",
+                 portfolio: "str | None" = None) -> list[tuple]:
+    """Translate engine results into scoreboard observation ops.
+
+    The one translation, shared by the live :class:`BackendScoreboard` and
+    the durable :class:`~repro.engine.store.ScoreboardStore`.  Op tuples:
+
+    * ``("observe", backend, signature, objective, wall_time, cache_hit)``
+    * ``("timeout", backend, signature, deadline_s)``
+    * ``("error",   backend, signature)``
+
+    A plain result observes its ``info["engine"]`` signature and cache
+    flag.  With ``portfolio`` (the winner's structure signature) every
+    contender of each result's ``info["portfolio"]`` breakdown is
+    translated instead: completed contenders observe quality + latency;
+    ``deadline_exceeded`` counts a timeout with a latency observation at
+    the deadline itself (the pessimism floor deadline routing needs);
+    ``error`` counts an error and nothing else, which leaves the backend
+    "seen" but ranked behind everyone that ever produced a result.
+    ``None`` results are skipped.
+    """
+    ops: list[tuple] = []
+    for result in results:
+        if result is None:
+            continue
+        if portfolio is None:
+            engine = result.info.get("engine", {})
+            ops.append(("observe", result.method, engine.get("signature"), result.objective,
+                        result.wall_time, bool(engine.get("cache_hit", False))))
+            continue
+        deadline = (result.info.get("portfolio_meta") or {}).get("deadline_s")
+        for entry in result.info.get("portfolio") or ():
+            status = None if entry is None else entry.get("status")
+            if status == "completed":
+                ops.append(("observe", entry["method"], portfolio, entry["objective"],
+                            entry["wall_time"], False))
+            elif status == "deadline_exceeded":
+                ops.append(("timeout", entry["method"], portfolio, deadline))
+            elif status == "error":
+                ops.append(("error", entry["method"], portfolio))
+    return ops
+
+
+def apply_observations(ops: "Sequence[tuple]",
+                       stats_for: "Callable[[str, str | None], BackendStats]",
+                       alpha: float) -> None:
+    """Apply observation ops with the scoreboard's one update rule.
+
+    Each op updates the exact ``(backend, signature)`` pair and the
+    backend-global aggregate (signature ``None``) that ``stats_for``
+    returns.  ``observe`` runs :meth:`BackendStats.observe`; ``timeout``
+    counts a timeout and, when it carries a deadline, observes that
+    deadline as latency; ``error`` counts an error.  An unknown kind
+    anywhere in ``ops`` raises before any statistic is touched.
+    """
+    for op in ops:
+        if op[0] not in ("observe", "timeout", "error"):
+            raise ReproError(f"unknown scoreboard observation kind: {op[0]!r}")
+    for op in ops:
+        kind, backend, signature = op[0], op[1], op[2]
+        for target in {signature, None}:
+            stats = stats_for(backend, target)
+            if kind == "observe":
+                stats.observe(op[3], op[4], alpha, cache_hit=op[5])
+            elif kind == "error":
+                stats.errors += 1
+            else:
+                stats.timeouts += 1
+                if op[3] is not None:
+                    stats.observe(math.nan, op[3], alpha)
+
+
 class BackendScoreboard:
     """Per-``(backend, structure-signature)`` stats from engine telemetry.
 
@@ -136,7 +211,7 @@ class BackendScoreboard:
     instance that produced it.
     """
 
-    def __init__(self, alpha: float = 0.25, store=None):
+    def __init__(self, alpha: float = DEFAULT_ALPHA, store=None):
         if not 0.0 < alpha <= 1.0:
             raise ReproError("scoreboard alpha must be in (0, 1]")
         self.alpha = alpha
@@ -154,7 +229,7 @@ class BackendScoreboard:
         """The bound :class:`~repro.engine.store.EngineStore`, if any."""
         return self._store
 
-    def bind_store(self, store, hydrate: bool = True) -> None:
+    def bind_store(self, store) -> None:
         """Bind a durable store, hydrating stats the scoreboard lacks.
 
         Hydration never overwrites a pair already observed in memory (live
@@ -176,9 +251,8 @@ class BackendScoreboard:
                     return
                 raise ReproError("scoreboard is already bound to a different EngineStore")
             self._store = resolved
-            if hydrate:
-                for key, stats in resolved.scoreboard.load().items():
-                    self._stats.setdefault(key, stats)
+            for key, stats in resolved.scoreboard.load().items():
+                self._stats.setdefault(key, stats)
 
     def flush(self) -> int:
         """Replay observations made since the last flush into the store.
@@ -224,59 +298,31 @@ class BackendScoreboard:
 
     # -- feeding ---------------------------------------------------------------
 
+    def record(self, ops: "Iterable[tuple]") -> int:
+        """Apply observation ops live and queue them for :meth:`flush`.
+
+        The one feed: every result, portfolio breakdown and low-level
+        :meth:`observe` lands here, through :func:`apply_observations`.
+        Returns the number of ops applied.
+        """
+        ops = list(ops)
+        with self._lock:
+            apply_observations(
+                ops, lambda b, s: self._stats.setdefault((b, s), BackendStats()), self.alpha
+            )
+            if self._store is not None:
+                self._pending.extend(ops)
+        return len(ops)
+
+    def record_results(self, results: "Sequence[SolveResult]",
+                       portfolio: "str | None" = None) -> int:
+        """Record engine results (or portfolio winners) via :func:`observations`."""
+        return self.record(observations(results, portfolio))
+
     def observe(self, backend: str, signature: "str | None", objective: float,
                 wall_time: float, cache_hit: bool = False) -> None:
         """Record one solve outcome (the low-level feed)."""
-        with self._lock:
-            for key in {(backend, signature), (backend, None)}:
-                self._stats.setdefault(key, BackendStats()).observe(
-                    objective, wall_time, self.alpha, cache_hit=cache_hit
-                )
-            if self._store is not None:
-                self._pending.append(
-                    ("observe", backend, signature, objective, wall_time, cache_hit)
-                )
-
-    def observe_result(self, result: "SolveResult") -> None:
-        """Feed one engine-executed result from its ``info["engine"]`` telemetry."""
-        engine = result.info.get("engine", {})
-        self.observe(
-            result.method,
-            engine.get("signature"),
-            result.objective,
-            result.wall_time,
-            cache_hit=bool(engine.get("cache_hit", False)),
-        )
-
-    def observe_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> None:
-        """Feed every contender of an ``info["portfolio"]`` breakdown.
-
-        The status → observation mapping lives in one place —
-        :func:`~repro.engine.store.portfolio_observations` — shared with
-        the durable :class:`~repro.engine.store.ScoreboardStore`, so live
-        and stored statistics apply identical semantics (completed →
-        quality + latency; deadline-exceeded → timeout with a latency
-        floor at the deadline; error → seen-but-ranked-last).
-        """
-        from repro.engine.store import portfolio_observations
-
-        for op in portfolio_observations(result, signature=signature):
-            if op[0] == "observe":
-                self.observe(op[1], op[2], op[3], op[4], cache_hit=op[5])
-                continue
-            kind, backend, sig = op[0], op[1], op[2]
-            deadline = op[3] if kind == "timeout" else None
-            with self._lock:
-                for key in {(backend, sig), (backend, None)}:
-                    stats = self._stats.setdefault(key, BackendStats())
-                    if kind == "error":
-                        stats.errors += 1
-                    else:
-                        stats.timeouts += 1
-                        if deadline is not None:
-                            stats.observe(math.nan, deadline, self.alpha)
-                if self._store is not None:
-                    self._pending.append(op)
+        self.record([("observe", backend, signature, objective, wall_time, cache_hit)])
 
     # -- reading ---------------------------------------------------------------
 
@@ -380,7 +426,6 @@ class AdaptiveScheduler:
         seed: int = 0,
         deadline_s: "float | None" = None,
         race_top_k: int = 2,
-        alpha: float = 0.25,
         quality_tol: float = 1e-9,
         store=None,
     ):
@@ -390,9 +435,7 @@ class AdaptiveScheduler:
             raise ReproError("race_top_k must be >= 1")
         if scoreboard is not None and store is not None:
             scoreboard.bind_store(store)
-        self.scoreboard = (
-            scoreboard if scoreboard is not None else BackendScoreboard(alpha=alpha, store=store)
-        )
+        self.scoreboard = scoreboard if scoreboard is not None else BackendScoreboard(store=store)
         self.epsilon = epsilon
         self.deadline_s = deadline_s
         self.race_top_k = race_top_k

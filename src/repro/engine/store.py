@@ -47,16 +47,11 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.engine.scheduler import DEFAULT_ALPHA, BackendStats, apply_observations, observations
 from repro.exceptions import ReproError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only; runtime imports are lazy
+if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.api.result import SolveResult
-    from repro.engine.scheduler import BackendStats
-
-#: EWMA smoothing used when recording observations without a scoreboard
-#: (mirrors the ``BackendScoreboard`` default so direct and scheduled
-#: recording produce the same arithmetic).
-DEFAULT_ALPHA = 0.25
 
 #: Default byte budget for the shared cache tier (LRU-by-last-access).
 DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024
@@ -117,40 +112,6 @@ def record_best_effort(action, description: str) -> None:
         )
 
 
-def portfolio_observations(result, signature: "str | None" = None) -> list[tuple]:
-    """Translate an ``info["portfolio"]`` breakdown into observation ops.
-
-    The single source of the status → observation mapping: both the live
-    :meth:`~repro.engine.scheduler.BackendScoreboard.observe_portfolio`
-    and the durable :meth:`ScoreboardStore.record_portfolio` feed from it,
-    so live and stored statistics cannot drift apart when a status or its
-    semantics change.  Completed contenders observe quality + latency;
-    ``deadline_exceeded`` counts a timeout with a latency observation at
-    the deadline itself (the pessimism floor deadline routing needs);
-    ``error`` counts an error and nothing else, which leaves the backend
-    "seen" but ranked behind everyone that ever produced a result.
-    """
-    entries = result.info.get("portfolio")
-    if not entries:
-        return []
-    deadline = (result.info.get("portfolio_meta") or {}).get("deadline_s")
-    observations = []
-    for entry in entries:
-        if entry is None:
-            continue
-        status = entry.get("status")
-        if status == "completed":
-            observations.append(
-                ("observe", entry["method"], signature, entry["objective"],
-                 entry["wall_time"], False)
-            )
-        elif status == "deadline_exceeded":
-            observations.append(("timeout", entry["method"], signature, deadline))
-        elif status == "error":
-            observations.append(("error", entry["method"], signature))
-    return observations
-
-
 class EngineStore:
     """One durable SQLite file holding scoreboard stats and cached results.
 
@@ -164,24 +125,13 @@ class EngineStore:
     Args:
         path: The database file; parent directories are created.
         cache_budget_bytes: LRU eviction threshold for the result tier.
-        alpha: EWMA smoothing for observations recorded without a
-            scoreboard (scoreboard-driven recording uses the scoreboard's
-            own alpha).
     """
 
-    def __init__(
-        self,
-        path: "str | os.PathLike",
-        cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
-        alpha: float = DEFAULT_ALPHA,
-    ):
+    def __init__(self, path: "str | os.PathLike", cache_budget_bytes: int = DEFAULT_CACHE_BUDGET):
         if cache_budget_bytes < 1:
             raise ReproError("EngineStore cache_budget_bytes must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ReproError("EngineStore alpha must be in (0, 1]")
         self.path = Path(path)
         self.cache_budget_bytes = int(cache_budget_bytes)
-        self.alpha = alpha
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connection() as conn:
             conn.executescript(_SCHEMA)
@@ -242,21 +192,22 @@ class ScoreboardStore:
     The write API is *observation replay*: callers hand over the raw
     observations (solves, timeouts, errors) and the store applies them to
     the stored rows inside one transaction, using
-    :meth:`~repro.engine.scheduler.BackendStats.observe` — the same
-    arithmetic, in the same order, the in-memory scoreboard ran.  Replay is
+    :func:`~repro.engine.scheduler.apply_observations` — the same update
+    rule, in the same order, the in-memory scoreboard ran.  Replay is
     what makes the round-trip exact for a single writer and a well-defined
     count-weighted interleave for concurrent ones; checkpointing *merged*
     statistics instead would double-count every re-flush.
 
-    Observation tuples (see :meth:`record`):
+    Observation tuples (built by
+    :func:`~repro.engine.scheduler.observations`; see :meth:`record`):
 
     * ``("observe", backend, signature, objective, wall_time, cache_hit)``
     * ``("timeout", backend, signature, deadline_s)``
     * ``("error",   backend, signature)``
 
     ``signature=None`` targets only the backend-global aggregate; a real
-    signature updates both the exact pair and the aggregate, mirroring
-    ``BackendScoreboard.observe``.
+    signature updates both the exact pair and the aggregate, exactly as
+    ``BackendScoreboard.record`` does.
     """
 
     def __init__(self, store: EngineStore):
@@ -264,19 +215,18 @@ class ScoreboardStore:
 
     # -- writing ---------------------------------------------------------------
 
-    def record(self, observations: Iterable[tuple], alpha: "float | None" = None) -> int:
-        """Replay ``observations`` into the stored rows; returns the count.
+    def record(self, ops: Iterable[tuple], alpha: float = DEFAULT_ALPHA) -> int:
+        """Replay observation ops into the stored rows; returns the count.
 
-        One transaction: concurrent recorders serialise on the SQLite write
-        lock, so two processes flushing at once interleave whole batches
-        and every observation lands exactly once.
+        The rows an op touches are loaded, updated by
+        :func:`~repro.engine.scheduler.apply_observations` and written back
+        in one transaction: concurrent recorders serialise on the SQLite
+        write lock, so two processes flushing at once interleave whole
+        batches and every observation lands exactly once.
         """
-        from repro.engine.scheduler import BackendStats
-
-        observations = list(observations)
-        if not observations:
+        ops = list(ops)
+        if not ops:
             return 0
-        alpha = self._store.alpha if alpha is None else alpha
         with self._store._connection() as conn:
             conn.execute("BEGIN IMMEDIATE")
             loaded: "dict[tuple[str, str], BackendStats]" = {}
@@ -294,28 +244,7 @@ class ScoreboardStore:
                     loaded[(backend, column)] = found
                 return found
 
-            for op in observations:
-                kind, backend, signature = op[0], op[1], op[2]
-                targets = {signature, None}
-                if kind == "observe":
-                    objective, wall_time, cache_hit = op[3], op[4], op[5]
-                    for target in targets:
-                        stats_for(backend, target).observe(
-                            objective, wall_time, alpha, cache_hit=cache_hit
-                        )
-                elif kind == "timeout":
-                    deadline = op[3]
-                    for target in targets:
-                        stats = stats_for(backend, target)
-                        stats.timeouts += 1
-                        if deadline is not None:
-                            stats.observe(math.nan, deadline, alpha)
-                elif kind == "error":
-                    for target in targets:
-                        stats_for(backend, target).errors += 1
-                else:
-                    raise ReproError(f"unknown scoreboard observation kind: {kind!r}")
-
+            apply_observations(ops, stats_for, alpha)
             conn.executemany(
                 "INSERT OR REPLACE INTO scoreboard "
                 "(backend, signature, count, quality, latency, best_objective, "
@@ -335,28 +264,13 @@ class ScoreboardStore:
                     for (backend, column), stats in loaded.items()
                 ],
             )
-        return len(observations)
+        return len(ops)
 
-    def record_results(self, results: Sequence["SolveResult"]) -> int:
-        """Record engine-executed results from their ``info["engine"]`` blocks."""
-        return self.record(
-            [
-                (
-                    "observe",
-                    r.method,
-                    r.info.get("engine", {}).get("signature"),
-                    r.objective,
-                    r.wall_time,
-                    bool(r.info.get("engine", {}).get("cache_hit", False)),
-                )
-                for r in results
-                if r is not None
-            ]
-        )
-
-    def record_portfolio(self, result: "SolveResult", signature: "str | None" = None) -> int:
-        """Record every contender of an ``info["portfolio"]`` breakdown."""
-        return self.record(portfolio_observations(result, signature=signature))
+    def record_results(self, results: Sequence["SolveResult"],
+                       portfolio: "str | None" = None) -> int:
+        """Record engine results (or portfolio winners) via
+        :func:`~repro.engine.scheduler.observations`."""
+        return self.record(observations(results, portfolio))
 
     # -- reading ---------------------------------------------------------------
 
@@ -380,9 +294,7 @@ class ScoreboardStore:
         return f"ScoreboardStore({str(self._store.path)!r})"
 
 
-def _row_to_stats(row) -> "BackendStats":
-    from repro.engine.scheduler import BackendStats
-
+def _row_to_stats(row) -> BackendStats:
     count, quality, latency, best, cache_hits, timeouts, errors = row
     return BackendStats(
         count=count,

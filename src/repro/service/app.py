@@ -613,7 +613,7 @@ class SolverService:
         if job.future is not None and not job.future.done():
             job.future.set_result(job)
 
-    def _solve_wave(self, jobs: "list[Job]") -> list:
+    def _solve_wave(self, jobs: "list[Job]") -> "tuple[list, list]":
         """One coalesced engine dispatch (worker thread; no job mutation).
 
         A wave may mix admission outcomes: admitted jobs run on the
@@ -625,27 +625,29 @@ class SolverService:
         Degraded groups stamp the fleet rewrite into every result's
         ``info["admission"]``.
 
-        With tracing on, the engine runs under a *synthetic* collector
-        trace (one engine call serves many requests, so no single job's
-        trace can own the live contextvars) and the collected spans return
+        With tracing on, each group's engine call runs under its own
+        *synthetic* collector trace (one engine call serves many requests,
+        so no single job's trace can own the live contextvars) rooted at a
+        ``service.wave_solve`` span, and the collected spans return
         alongside the results; ``_run_wave`` grafts each request's slice
-        into its own trace afterwards.  Returns ``(results, spans)``.
+        into its own trace afterwards.  One root per group keeps a
+        request's slice inside its own group's call.  Returns
+        ``(results, spans)``.
         """
-        collector = obs.SpanCollector() if self.tracer is not None else None
-        if collector is None:
-            return self._dispatch_groups(jobs), []
-        with obs.activate(collector):
-            with obs.span("service.wave_solve", jobs=len(jobs)):
-                results = self._dispatch_groups(jobs)
-        return results, collector.drain()
-
-    def _dispatch_groups(self, jobs: "list[Job]") -> list:
         groups: "dict[tuple | None, list[int]]" = {}
         for index, job in enumerate(jobs):
             groups.setdefault(job.backends, []).append(index)
         results: list = [None] * len(jobs)
+        spans: list = []
         for fleet, indices in groups.items():
-            group_results = self._solve_group(fleet, [jobs[i] for i in indices])
+            group = [jobs[i] for i in indices]
+            if self.tracer is None:
+                group_results = self._solve_group(fleet, group)
+            else:
+                collector = obs.SpanCollector()
+                with obs.activate(collector), obs.span("service.wave_solve", jobs=len(group)):
+                    group_results = self._solve_group(fleet, group)
+                spans.extend(collector.drain())
             if fleet is not None:
                 for result in group_results:
                     result.info.setdefault(
@@ -658,7 +660,7 @@ class SolverService:
                     )
             for index, result in zip(indices, group_results):
                 results[index] = result
-        return results
+        return results, spans
 
     def _solve_group(self, fleet: "tuple | None", jobs: "list[Job]") -> list:
         """One fleet's share of a wave, single-flight deduped.

@@ -22,8 +22,9 @@ GET    ``/readyz``             Readiness + capacity snapshot (503
 GET    ``/metrics``            Prometheus text exposition (0.0.4).
 ====== ======================= ==========================================
 
-Error mapping: malformed requests (bad JSON, bad spec/seed/tenant/
-priority, a negative Content-Length, a truncated body) are 400, unknown
+Error mapping: malformed requests (bad JSON or JSON nested too deeply,
+bad spec/seed/tenant/priority, a negative Content-Length, a truncated
+body, a request or header line past the reader's limit) are 400, unknown
 routes 404, oversized bodies 413, queue backpressure and admission sheds
 429 (sheds carry ``Retry-After`` seconds derived from the scoreboard's
 EWMA service time), draining 503.  Every response carries
@@ -211,6 +212,8 @@ class ServiceServer:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # a small body can nest past the stack
+            raise HttpError(400, "request body is nested too deeply") from exc
         if not isinstance(request, dict) or "problem" not in request:
             raise HttpError(400, 'request body must be {"problem": {...}, ...}')
         spec = request["problem"]
@@ -256,7 +259,7 @@ async def _read_request(reader: asyncio.StreamReader):
     """Parse one request: ``(method, path, query, body)``; HttpError on junk."""
     try:
         request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as exc:
+    except (ConnectionError, ValueError) as exc:  # ValueError: line past the limit
         raise HttpError(400, "unreadable request line") from exc
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
@@ -266,7 +269,10 @@ async def _read_request(reader: asyncio.StreamReader):
 
     content_length = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except (ConnectionError, ValueError) as exc:
+            raise HttpError(400, "unreadable header line") from exc
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")

@@ -108,7 +108,7 @@ def _joinorder_from_spec(spec: Mapping) -> Problem:
 
     topologies = {"chain": chain_query, "star": star_query, "cycle": cycle_query}
     topology = spec.get("topology", "chain")
-    if topology not in topologies:
+    if not isinstance(topology, str) or topology not in topologies:
         raise ReproError(f"joinorder topology must be one of {sorted(topologies)}")
     graph = topologies[topology](
         _require_int(spec, "num_relations", 2 if topology != "cycle" else 3, MAX_RELATIONS),
@@ -135,7 +135,7 @@ def _qubo_from_spec(spec: Mapping) -> Problem:
         terms = [(str(label), float(coeff)) for label, coeff in linear.items()]
         pairs = [(str(u), str(v), float(coeff)) for u, v, coeff in quadratic]
         offset = float(spec.get("offset", 0.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ReproError(f"malformed qubo term: {exc}") from exc
     # Count distinct labels before building, so an oversized spec is
     # refused without allocating its model.
@@ -241,7 +241,7 @@ def problem_from_spec(spec: Any) -> Problem:
     if not isinstance(spec, Mapping):
         raise ReproError("problem spec must be a JSON object with a 'kind' field")
     kind = spec.get("kind")
-    builder = _KINDS.get(kind)
+    builder = _KINDS.get(kind) if isinstance(kind, str) else None
     if builder is None:
         raise ReproError(f"unknown problem kind {kind!r} (known: {sorted(_KINDS)})")
     return builder(spec)

@@ -49,7 +49,7 @@ def test_capacity_snapshot_aggregates_per_backend():
             "portfolio_meta": {"deadline_s": 2.0},
         },
     )
-    board.observe_portfolio(raced, signature="sig-a")
+    board.record_results([raced], portfolio="sig-a")
 
     snapshot = board.capacity_snapshot()
     assert set(snapshot) == {"sa", "tabu"}
@@ -73,8 +73,7 @@ def test_capacity_snapshot_aggregates_per_backend():
 def test_capacity_snapshot_tracks_real_batch():
     board = BackendScoreboard()
     results = solve_many(problems(3), backend="sa", seed=0, num_reads=4)
-    for result in results:
-        board.observe_result(result)
+    board.record_results(results)
     snapshot = board.capacity_snapshot()
     assert snapshot["sa"]["count"] == 3
     assert snapshot["sa"]["structures"] >= 1

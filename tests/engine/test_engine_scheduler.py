@@ -140,7 +140,7 @@ class TestBackendScoreboard:
              "status": "deadline_exceeded"},
         ]
         result.info["portfolio_meta"] = {"deadline_s": 0.5}
-        board.observe_portfolio(result, signature="sig")
+        board.record_results([result], portfolio="sig")
         assert board.stats("sa", "sig").quality == pytest.approx(1.0)
         slow = board.stats("qaoa", "sig")
         assert slow.timeouts == 1
@@ -157,7 +157,7 @@ class TestBackendScoreboard:
             {"method": "flaky", "objective": math.nan, "wall_time": math.nan,
              "status": "error"},
         ]
-        board.observe_portfolio(result, signature="sig")
+        board.record_results([result], portfolio="sig")
         assert board.seen("flaky")
         assert board.stats("flaky", "sig").errors == 1
         scheduler = AdaptiveScheduler(epsilon=0.0, scoreboard=board)

@@ -114,7 +114,7 @@ class TestScoreboardStore:
                 "portfolio_meta": {"deadline_s": 0.5},
             },
         )
-        board.observe_portfolio(result, signature="sig-a")
+        board.record_results([result], portfolio="sig-a")
         assert board.flush() > 0
 
         hydrated = BackendScoreboard(alpha=0.5, store=EngineStore(tmp_path / "engine.db"))
@@ -156,8 +156,6 @@ class TestScoreboardStore:
     def test_validation(self, tmp_path):
         with pytest.raises(ReproError, match="cache_budget_bytes"):
             EngineStore(tmp_path / "x.db", cache_budget_bytes=0)
-        with pytest.raises(ReproError, match="alpha"):
-            EngineStore(tmp_path / "x.db", alpha=1.5)
 
 
 # -- shared cache tier -------------------------------------------------------

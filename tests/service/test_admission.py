@@ -362,6 +362,32 @@ def test_degraded_requests_match_direct_solves_on_the_cheap_tier():
     assert service._m["admission"].value(decision="degrade", priority="interactive") == 1
 
 
+def test_mixed_fleet_wave_keeps_each_groups_spans_in_its_own_traces():
+    """An admitted and a degraded job share a wave but not an engine call:
+    each trace holds its own group's ``solve_many`` and nothing of the other's."""
+
+    async def scenario():
+        service = make_service(
+            max_wave=2,
+            degrade_backends=("tabu",),
+            tenants={"burned": {"backend_seconds": 0.0}},
+        )
+        await service.start()
+        degraded = service.submit(MQO_SPEC, seed=3, tenant="burned")
+        normal = service.submit(MQO_SPEC, seed=3, tenant="fresh")
+        await asyncio.gather(degraded.future, normal.future)
+        await service.shutdown()
+        return service, degraded, normal
+
+    service, degraded, normal = asyncio.run(scenario())
+    assert degraded.admission["action"] == "degrade" and normal.admission["action"] == "admit"
+    traces = [service.recorder.get(job.trace_id)["spans"] for job in (degraded, normal)]
+    for spans in traces:
+        assert [s["name"] for s in spans].count("facade.solve_many") == 1
+    ids = [{s["span_id"] for s in spans} for spans in traces]
+    assert not ids[0] & ids[1]
+
+
 # -- weighted lanes: determinism regardless of composition --------------------
 
 

@@ -15,11 +15,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parents[2]
 SPEC = {"kind": "mqo", "num_queries": 3, "plans_per_query": 3, "instance_seed": 5}
@@ -369,6 +372,142 @@ def test_draining_is_a_503_by_error_type_not_by_message_text():
         assert "draining" in body
 
     _run_with_server(handler)
+
+
+def test_deeply_nested_json_is_a_400_not_a_500():
+    """200,000 ``[`` fit the body limit but not the JSON parser's stack."""
+
+    async def handler(server):
+        body = b"[" * 200_000
+        head = f"POST /v1/solve HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        status, _, text = _parse_response(
+            await _raw_request(server.bound_port, head.encode() + body)
+        )
+        assert status == 400
+        assert "nested too deeply" in text
+
+    _run_with_server(handler)
+
+
+def test_overlong_request_and_header_lines_are_400s():
+    """A line past the stream reader's limit is the client's junk, not a 500."""
+
+    async def handler(server):
+        for payload in (
+            b"G" * 70_000 + b"\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        ):
+            status, _, _ = _parse_response(await _raw_request(server.bound_port, payload))
+            assert status == 400
+
+    _run_with_server(handler)
+
+
+def test_ill_typed_spec_fields_are_400s():
+    """Spec fields that are unhashable, or numbers no float can hold, are
+    the client's input errors: 400, not a TypeError/OverflowError 500."""
+
+    async def handler(server):
+        for spec in (
+            {"kind": []},
+            {"kind": "joinorder", "topology": {"chain": 1}},
+            {"kind": "qubo", "linear": {"x0": 10**400}},
+        ):
+            raw = await _raw_request(
+                server.bound_port, _build_post("/v1/solve", {"problem": spec, "seed": 1})
+            )
+            assert _parse_response(raw)[0] == 400, spec
+
+    _run_with_server(handler)
+
+
+# -- fuzzing the edge: no input is a 500 or a hang --------------------------
+
+RESPONSE_BOUND_S = 30.0
+
+
+@pytest.fixture(scope="module")
+def edge():
+    """One in-process server on a background event loop: ``(loop, port)``."""
+    from repro.service import ServiceConfig, SolverService
+    from repro.service.http import ServiceServer
+
+    async def boot():
+        server = ServiceServer(SolverService(ServiceConfig(
+            window_s=0.01, max_wave=16, port=0, backends=("sa",),
+            backend_opts={"sa": {"num_reads": 2, "num_sweeps": 20}},
+            executor="serial", store="",
+        )))
+        await server.start()
+        return server
+
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = asyncio.run_coroutine_threadsafe(boot(), loop).result(timeout=60)
+    try:
+        yield loop, server.bound_port
+    finally:
+        asyncio.run_coroutine_threadsafe(server.shutdown(), loop).result(timeout=120)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+
+
+def _exchange(edge, payload: bytes) -> "tuple[int, float]":
+    """Send ``payload`` then EOF, read the whole reply: ``(status, seconds)``."""
+    loop, port = edge
+    start = time.monotonic()
+    raw = asyncio.run_coroutine_threadsafe(_raw_request(port, payload, eof=True), loop).result()
+    return _parse_response(raw)[0], time.monotonic() - start
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+SPEC_FIELDS = (
+    "kind", "num_queries", "plans_per_query", "sharing_density", "instance_seed",
+    "topology", "num_relations", "encoding", "linear", "quadratic", "offset",
+    "script", "catalog", "instance", "bushy",
+)
+
+
+@st.composite
+def request_bodies(draw):
+    """Request-shaped objects whose every field may hold any JSON value."""
+    spec = draw(st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES, max_size=5))
+    spec["kind"] = draw(st.sampled_from(["mqo", "joinorder", "qubo", "workload"]) | JSON_VALUES)
+    request = {"problem": spec}
+    for field in ("seed", "wait", "tenant", "priority"):
+        if draw(st.booleans()):
+            request[field] = draw(JSON_VALUES)
+    return request
+
+
+LINES = st.sampled_from([
+    b"GET /healthz HTTP/1.1\r\n", b"GET /readyz HTTP/1.1\r\n", b"GET /metrics HTTP/1.1\r\n",
+    b"GET /v1/traces HTTP/1.1\r\n", b"GET /v1/jobs/x HTTP/1.1\r\n",
+    b"POST /v1/solve HTTP/1.1\r\n", b"PUT /v1/solve HTTP/1.1\r\n",
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.binary(max_size=512) | st.tuples(LINES, st.binary(max_size=512)).map(b"".join))
+def test_arbitrary_bytes_never_500_or_hang(edge, payload):
+    status, elapsed = _exchange(edge, payload)
+    assert status != 500
+    assert elapsed < RESPONSE_BOUND_S
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=JSON_VALUES | request_bodies())
+def test_arbitrary_json_bodies_never_500_or_hang(edge, body):
+    status, elapsed = _exchange(edge, _build_post("/v1/solve", body))
+    assert status != 500
+    assert elapsed < RESPONSE_BOUND_S
 
 
 def test_sigterm_drains_and_exits_zero(server):
